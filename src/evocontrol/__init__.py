@@ -11,12 +11,10 @@ verification routines cross-check everything.
 """
 
 from .control import (
-    ClosedFormBound,
     ControlProblem,
     ErrorEstimators,
     PolynomialGrowth,
     SemigroupEstimator,
-    closed_form_bound,
     control_rhs,
     integral_estimator_eval,
     r_closed,
@@ -30,6 +28,7 @@ from .errors import (
     NotApplicableError,
     OutOfDomainError,
     QuadratureError,
+    StepBudgetError,
 )
 from .fd import FdConfig, fd_blowup_time, limit_profile, limit_profile_check
 from .galerkin import (
@@ -56,7 +55,6 @@ from .heat import (
     table_rows,
 )
 from .kaplan import (
-    KaplanInput,
     comparison_blowup_time,
     comparison_solution,
     kaplan_time,
@@ -102,7 +100,6 @@ __all__ = [
     "BracketError",
     "C_K",
     "C_N",
-    "ClosedFormBound",
     "ControlProblem",
     "DOMAIN_EXIT",
     "ErrorEstimators",
@@ -116,7 +113,6 @@ __all__ = [
     "HeatScenario",
     "IvpOutcome",
     "IvpSpec",
-    "KaplanInput",
     "NotApplicableError",
     "OutOfDomainError",
     "PolynomialGrowth",
@@ -125,6 +121,7 @@ __all__ = [
     "SPEC_VERSION",
     "ScenarioResult",
     "SemigroupEstimator",
+    "StepBudgetError",
     "TrajectoryGrid",
     "WaveDatum",
     "algebra_property_test",
@@ -132,7 +129,6 @@ __all__ = [
     "best_ratio",
     "bisect_parameter",
     "build_model",
-    "closed_form_bound",
     "comparison_blowup_time",
     "comparison_solution",
     "control_rhs",

@@ -20,7 +20,7 @@ compared, never fed into arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -125,14 +125,6 @@ class ControlProblem:
         return self.semigroup.U * self.errors.delta
 
 
-@dataclass(frozen=True)
-class ClosedFormBound:
-    """Lifespan guarantee plus the tube radius curve for the pure-power case."""
-
-    tn: float
-    radius: Callable[[float], float] = field(compare=False)
-
-
 def control_rhs(problem: ControlProblem, R: float, t: float) -> float:
     """Right-hand side U eps(t) + U ell(R, t) - B R of the control equation.
 
@@ -213,14 +205,6 @@ def r_closed(U: float, B: float, P: float, p: int, norm_f0: float,
     u_val = P * U**p * norm_f0 ** (p - 1)
     denom = 1.0 - (u_val - B) * _growth_kernel((p - 1) * t, B)
     return U * norm_f0 / denom ** (1.0 / (p - 1))
-
-
-def closed_form_bound(U: float, B: float, P: float, p: int,
-                      norm_f0: float) -> ClosedFormBound:
-    tn = tn_closed(U, B, P, p, norm_f0)
-    return ClosedFormBound(
-        tn=tn, radius=lambda t: r_closed(U, B, P, p, norm_f0, t)
-    )
 
 
 def _check_pure_power_args(U, B, P, p, norm_f0):

@@ -34,3 +34,14 @@ class NotApplicableError(EvocontrolError):
 
 class GridDisagreementError(EvocontrolError):
     """Two grid resolutions disagree beyond the allowed relative gap."""
+
+
+class StepBudgetError(EvocontrolError):
+    """An integration used up its step budget before reaching a verdict.
+
+    The number of steps taken is stored in ``steps``.
+    """
+
+    def __init__(self, steps: int):
+        super().__init__(f"step budget of {steps} steps exhausted")
+        self.steps = steps

@@ -151,32 +151,6 @@ def _product_on_nodes(factors: Sequence[int], x: np.ndarray):
     return prod, dprod
 
 
-def sine_product_pairing(k: int, factors: Sequence[int]) -> float:
-    """Raised-index pairing of mode k against a product of modes.
-
-    Computed as the ambient inner product divided by the metric weight
-    1 + k^2; because the modes are Laplacian eigenfunctions this equals
-    the plain L2 pairing <s_k | prod s_l>, which module tests confirm.
-    """
-    if k < 1 or any(l < 1 for l in factors):
-        raise ValueError("mode indices must be >= 1")
-    degree = k + sum(factors)
-    x, w = quad.nodes(degree)
-    pv, pd = _product_on_nodes(tuple(factors), x)
-    sv = quad.sine_values(k, x)
-    sd = quad.sine_derivs(k, x)
-    return quad.h1_inner(sv, sd, pv, pd, w) / (1.0 + k * k)
-
-
-def product_pairing_l2(k: int, factors: Sequence[int]) -> float:
-    """Plain L2 pairing <s_k | prod s_l> (dual route to the raised-index
-    pairing; kept separate so the identity between the two is testable)."""
-    degree = k + sum(factors)
-    x, w = quad.nodes(degree)
-    pv, _ = _product_on_nodes(tuple(factors), x)
-    return quad.l2_inner(quad.sine_values(k, x), pv, w)
-
-
 def build_model(indices: Sequence[int], p: int) -> GalerkinModel:
     """Assemble the reduced vector field and residual form for a mode set."""
     basis = GalerkinBasis(tuple(indices))

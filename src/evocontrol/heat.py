@@ -52,14 +52,6 @@ _UNIFORM_SAMPLES = 512
 _REFINE_SAMPLES = 48
 
 
-def semigroup_estimator_heat():
-    """Propagator bound for the Dirichlet heat semigroup on (0, pi):
-    U = 1, B = 1 (the ground eigenvalue)."""
-    from .control import SemigroupEstimator
-
-    return SemigroupEstimator(1.0, 1.0)
-
-
 @dataclass(frozen=True)
 class BasicBounds:
     """Zero-approximation bounds depending only on ||f0|| = A / C_N."""

@@ -54,25 +54,6 @@ class NonnegCheck:
         return self.min_value >= 0.0
 
 
-@dataclass(frozen=True)
-class KaplanInput:
-    """Ground-mode mass Q0 and power p, with optional recorded
-    nonnegativity evidence for the datum."""
-
-    q0: float
-    p: int
-    nonneg: NonnegCheck | None = None
-
-    def __post_init__(self):
-        if not (isinstance(self.p, (int, np.integer)) and self.p >= 2):
-            raise ValueError("p must be an integer >= 2")
-        if not self.q0 >= 0.0:
-            raise ValueError("q0 must be >= 0")
-
-    def time(self) -> float:
-        return kaplan_time(self.q0, self.p)
-
-
 def q_of_sine_coeffs(coeffs: Mapping[int, float]) -> float:
     """Ground-mode projection of a sine polynomial (all modes but the
     first integrate to zero against sin)."""

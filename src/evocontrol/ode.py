@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BracketError, EvocontrolError, OutOfDomainError
+from .errors import BracketError, OutOfDomainError, StepBudgetError
 
 Rhs = Callable[[float, np.ndarray], np.ndarray]
 
@@ -112,10 +112,6 @@ class IvpOutcome:
     states: np.ndarray
     derivs: np.ndarray
     spec: IvpSpec = field(repr=False, compare=False)
-
-    @property
-    def samples(self) -> list[tuple[float, np.ndarray]]:
-        return [(float(t), s) for t, s in zip(self.times, self.states)]
 
     @property
     def final_state(self) -> np.ndarray:
@@ -246,6 +242,8 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
 
     Accepted steps are appended to the sample arrays as they happen; the
     run ends at the horizon, at a bracketed blow-up, or at a domain exit.
+    Raises :class:`StepBudgetError` after ``_MAX_STEPS`` step attempts
+    without any of these.
     """
     rhs = spec.rhs
     t = float(spec.t0)
@@ -319,7 +317,7 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
         else:
             factor = _SAFETY * err ** (-_ORDER_EXP)
             h *= min(1.0, max(_FACTOR_MIN, factor))
-    raise EvocontrolError("step budget exhausted")
+    raise StepBudgetError(_MAX_STEPS)
 
 
 def norm_nonincreasing_tail(outcome: IvpOutcome, fraction: float = 0.1,

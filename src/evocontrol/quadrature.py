@@ -44,17 +44,6 @@ def sine_poly_values(coeffs, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sine_poly_derivs(coeffs, x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    for k, c in coeffs.items():
-        out += c * sine_derivs(k, x)
-    return out
-
-
-def integrate_values(values: np.ndarray, w: np.ndarray) -> float:
-    return float(np.dot(w, values))
-
-
 def l2_inner(fv: np.ndarray, gv: np.ndarray, w: np.ndarray) -> float:
     return float(np.dot(w, fv * gv))
 

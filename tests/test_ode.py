@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from evocontrol import ode
-from evocontrol.errors import BracketError, OutOfDomainError
+from evocontrol.errors import (
+    BracketError,
+    EvocontrolError,
+    OutOfDomainError,
+    StepBudgetError,
+)
 
 
 def _decay_spec(rate=2.0, y0=3.0, horizon=1.0, rtol=1e-10, atol=1e-12):
@@ -26,6 +31,15 @@ def test_linear_decay_accuracy():
     exact = 3.0 * math.exp(-2.0)
     assert outcome.kind == ode.REACHED_HORIZON
     assert abs(outcome.final_state[0] - exact) <= 1e-9 * exact
+
+
+def test_step_budget_failure_is_typed(monkeypatch):
+    # the decay run needs dozens of steps; a budget of 5 must fail loudly
+    monkeypatch.setattr(ode, "_MAX_STEPS", 5)
+    with pytest.raises(StepBudgetError) as info:
+        ode.integrate(_decay_spec(horizon=50.0))
+    assert info.value.steps == 5
+    assert isinstance(info.value, EvocontrolError)
 
 
 def test_power_blowup_times():

@@ -2,10 +2,12 @@
 randomized algebra checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from evocontrol import quadrature as qd
 from evocontrol import sobolev
 
 
@@ -74,6 +76,92 @@ def test_algebra_property_holds():
     assert report.max_ratio <= 1.0
     d = report.to_dict()
     assert d["violations"] == 0 and d["trials"] == 2000
+
+
+@pytest.mark.parametrize("seed, trials, max_ratio", [
+    (0, 10_000, 0.33135934794371597),
+    (1, 10_000, 0.35227596690832713),
+    (7, 10_000, 0.32982134558279486),
+    (7919, 10_000, 0.32179767550790206),
+    (7, 2000, 0.31043138727681185),
+    (5, 4097, 0.34228026849485277),
+])
+def test_algebra_property_pinned(seed, trials, max_ratio):
+    # values of the one-trial-at-a-time loop this computation replaced
+    report = sobolev.algebra_property_test(seed=seed, trials=trials)
+    assert report.max_ratio == max_ratio
+    assert report.violations == 0
+
+
+def _scalar_ratio(fc, gc):
+    # one pair at a time, one mode at a time: the reference evaluation
+    x, w = qd.nodes(2 * (max(fc) + max(gc)))
+    fv, dfv, gv, dgv = (np.zeros_like(x) for _ in range(4))
+    for k, c in fc.items():
+        fv += c * qd.sine_values(k, x)
+        dfv += c * qd.sine_derivs(k, x)
+    for k, c in gc.items():
+        gv += c * qd.sine_values(k, x)
+        dgv += c * qd.sine_derivs(k, x)
+    prod = fv * gv
+    dprod = dfv * gv + fv * dgv
+    product = math.sqrt(float(np.sum(w * (prod * prod + dprod * dprod))))
+    bound = (math.sqrt(sum((1.0 + k * k) * a * a for k, a in fc.items()))
+             * math.sqrt(sum((1.0 + k * k) * a * a for k, a in gc.items())))
+    return product / bound
+
+
+def test_kernel_matches_one_pair_evaluation_bitwise():
+    rng = np.random.default_rng(3)
+    F = rng.uniform(-1.0, 1.0, (50, 8))
+    G = rng.uniform(-1.0, 1.0, (50, 8))
+    kernel = sobolev._product_norms(F, G, 32) / (
+        sobolev._metric_norms(F) * sobolev._metric_norms(G))
+    for row, (f, g) in enumerate(zip(F, G)):
+        fc = dict(enumerate(f, start=1))
+        gc = dict(enumerate(g, start=1))
+        public = sobolev.product_norm(fc, gc) / (
+            sobolev.metric_norm(fc) * sobolev.metric_norm(gc))
+        assert kernel[row] == public == _scalar_ratio(fc, gc)
+
+
+def test_blocks_follow_the_per_trial_stream():
+    # a trial count that is not a multiple of the block: the blocked
+    # draws must walk the same stream as two draws per trial
+    trials = 2 * sobolev._BLOCK + 37
+    rng = np.random.default_rng(11)
+    ratios = []
+    for _ in range(trials):
+        fc = dict(enumerate(rng.uniform(-1.0, 1.0, 8), start=1))
+        gc = dict(enumerate(rng.uniform(-1.0, 1.0, 8), start=1))
+        ratios.append(sobolev.product_norm(fc, gc) / (
+            sobolev.metric_norm(fc) * sobolev.metric_norm(gc)))
+    report = sobolev.algebra_property_test(seed=11, trials=trials)
+    assert report.max_ratio == max(ratios)
+    assert report.trials == trials
+
+
+def test_violations_are_counted():
+    # with a negative tolerance every positive ratio is a violation
+    report = sobolev.algebra_property_test(seed=3, trials=1500,
+                                           tolerance=-1.0)
+    assert report.violations == 1500
+    assert not report.passed
+
+
+def test_algebra_memory_does_not_grow_with_trials():
+    peaks = []
+    for trials in (sobolev._BLOCK, 8 * sobolev._BLOCK):
+        tracemalloc.start()
+        sobolev.algebra_property_test(seed=0, trials=trials)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_coefficient_maps_need_sine_modes():
+    with pytest.raises(ValueError):
+        sobolev.metric_norm({0: 1.0})
 
 
 def test_product_norm_on_known_case():
