@@ -139,7 +139,7 @@ def _coupled_rhs(model: galerkin.GalerkinModel, linear_factor: float):
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         a = y[:m]
         R = y[m]
-        mono = np.prod(a[mono_pos], axis=1)
+        mono = np.multiply.reduce(a[mono_pos], axis=1)
         xa = lam * a + tensor_mat @ mono
         eps_sq = float(mono @ gram2 @ mono)
         eps = math.sqrt(eps_sq) if eps_sq > 0.0 else 0.0

@@ -120,6 +120,14 @@ def comparison_rhs(S: float, p: int) -> float:
     return S**p - S
 
 
+def _comparison_ode(p: int) -> ode.Rhs:
+    """The comparison problem as a one-dimensional IVP right-hand side."""
+    def rhs(s: float, y: np.ndarray) -> np.ndarray:
+        return np.array([comparison_rhs(y[0], p)])
+
+    return rhs
+
+
 def comparison_solution(q0: float, p: int, t: float,
                         rtol: float = 1e-12, atol: float = 1e-13) -> float:
     """Comparison ODE solution S(t) by adaptive integration.
@@ -133,7 +141,7 @@ def comparison_solution(q0: float, p: int, t: float,
         return q0
     spec = ode.IvpSpec(
         dimension=1,
-        rhs=lambda s, y: np.array([comparison_rhs(y[0], p)]),
+        rhs=_comparison_ode(p),
         y0=np.array([q0]),
         t0=0.0,
         horizon=t,
@@ -159,7 +167,7 @@ def comparison_blowup_time(q0: float, p: int, horizon: float = 100.0,
         )
     spec = ode.IvpSpec(
         dimension=1,
-        rhs=lambda s, y: np.array([comparison_rhs(y[0], p)]),
+        rhs=_comparison_ode(p),
         y0=np.array([q0]),
         t0=0.0,
         horizon=horizon,

@@ -11,13 +11,21 @@ outcomes:
 * ``domain_exit``     : the right-hand side stopped returning finite
   values while the state was still moderate.
 
-Everything is plain deterministic floating point: identical inputs
-produce bit-identical accepted-step grids, which downstream code relies
-on for reproducible CSV output.
+Each outcome carries an :class:`IvpStats` record: step and RHS-call
+counters, the step-size range and the termination reason, which tells
+a threshold escape from a min-step collapse.
+
+The stepping core is allocation-light: one stage buffer per run, the
+tableau sliced once, finiteness and norms taken by direct ufunc
+reductions. It is bit-reproducible: plain deterministic floating point
+in a fixed order, so identical inputs produce bit-identical
+accepted-step grids, which downstream code relies on for reproducible
+CSV output.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -30,6 +38,12 @@ Rhs = Callable[[float, np.ndarray], np.ndarray]
 REACHED_HORIZON = "reached_horizon"
 BLOW_UP = "blow_up"
 DOMAIN_EXIT = "domain_exit"
+
+# why a run stopped (IvpStats.termination); finer than the outcome kind
+HORIZON = "horizon"
+THRESHOLD_ESCAPE = "threshold_escape"
+MIN_STEP_COLLAPSE = "min_step_collapse"
+NONFINITE = "nonfinite"
 
 # Dormand-Prince 5(4) tableau (FSAL: the 7th stage of an accepted step is
 # the first stage of the next one).
@@ -49,6 +63,15 @@ _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0
 _E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
+# the same tableau sliced once: stage nodes as Python floats, the row of
+# stage i (its first i entries) and the 5th-order weights of stages 0-5
+_NODES = _C.tolist()
+_ROWS = tuple(_A[i, :i] for i in range(6))
+_B5_ROW = _B5[:6]
+
+_all = np.logical_and.reduce
+_isfinite = np.isfinite
+_sum = np.add.reduce
 
 _SAFETY = 0.9
 _FACTOR_MIN = 0.2
@@ -97,13 +120,37 @@ class IvpSpec:
 
 
 @dataclass(frozen=True)
+class IvpStats:
+    """Counters of one :func:`integrate` run.
+
+    ``accepted`` is the number of intervals of the stored grid (a
+    threshold escape adds its bracketing sub-step). ``rejected`` counts
+    attempts whose error norm exceeded 1, ``nonfinite_retries`` attempts
+    dropped for a non-finite stage or error norm. ``rhs_calls`` includes
+    the initial evaluation, the first-step guess and the escape
+    bracketing. ``h_min``/``h_max`` are the extreme spacings of the
+    grid (nan when no step was accepted). ``termination`` is one of
+    ``horizon``, ``threshold_escape``, ``min_step_collapse`` (both kind
+    ``blow_up``) and ``nonfinite`` (kind ``domain_exit``).
+    """
+
+    accepted: int
+    rejected: int
+    rhs_calls: int
+    nonfinite_retries: int
+    h_min: float
+    h_max: float
+    termination: str
+
+
+@dataclass(frozen=True)
 class IvpOutcome:
     """Result of :func:`integrate`.
 
     ``times``/``states``/``derivs`` hold every accepted step (plus, for a
     threshold escape, one final bracketing sample beyond the threshold),
     so the outcome doubles as a dense-output object via
-    :meth:`interpolate`.
+    :meth:`interpolate`. ``stats`` holds the run's counters.
     """
 
     kind: str
@@ -112,6 +159,7 @@ class IvpOutcome:
     states: np.ndarray
     derivs: np.ndarray
     spec: IvpSpec = field(repr=False, compare=False)
+    stats: IvpStats = field(compare=False)
 
     @property
     def final_state(self) -> np.ndarray:
@@ -161,12 +209,14 @@ class IvpOutcome:
 
 def _error_norm(err: np.ndarray, y_old: np.ndarray, y_new: np.ndarray,
                 rtol: float, atol: float) -> float:
+    """RMS of the scaled error; ``add.reduce / size`` has the bits of
+    ``np.mean``."""
+    scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
     # near a blow-up the ratio can overflow; an inf norm simply means
     # "reject the step", so silence the hardware flag
-    scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
     with np.errstate(over="ignore"):
-        ratio = err / scale
-        return float(np.sqrt(np.mean(ratio * ratio)))
+        r = err / scale
+        return math.sqrt(_sum(r * r) / r.size)
 
 
 def _initial_step(rhs: Rhs, t0: float, y0: np.ndarray, f0: np.ndarray,
@@ -189,52 +239,65 @@ def _initial_step(rhs: Rhs, t0: float, y0: np.ndarray, f0: np.ndarray,
     return min(100 * h0, h1, span)
 
 
-def _rk_step(rhs: Rhs, t: float, y: np.ndarray, f: np.ndarray, h: float):
-    """One Dormand-Prince step. Returns (y5, err_vec, f_new) or None
-    if any stage evaluated to a non-finite value."""
-    k = np.empty((7, y.size))
+def _stage_buffer(n: int):
+    """7 x n stage rows ``k`` plus the transposed prefixes ``k[:i].T``,
+    i = 1..7, that the stage combinations multiply."""
+    k = np.empty((7, n))
+    return k, tuple(k[:i].T for i in range(1, 8))
+
+
+def _rk_step(rhs: Rhs, t: float, y: np.ndarray, f: np.ndarray, h: float,
+             stages):
+    """One Dormand-Prince step using a buffer from :func:`_stage_buffer`.
+
+    Returns ``(calls, y5, err_vec, f_new)``, where ``calls`` counts the
+    RHS evaluations made. ``y5`` is None when a stage or the advanced
+    state is non-finite; the attempt stops at the first such stage.
+    """
+    k, kt = stages
     k[0] = f
     for i in range(1, 6):
-        yi = y + h * (k[:i].T @ _A[i, :i])
-        ki = rhs(t + _C[i] * h, yi)
-        if not np.all(np.isfinite(ki)):
-            return None
+        ki = rhs(t + _NODES[i] * h, y + h * (kt[i - 1] @ _ROWS[i]))
+        if not _all(_isfinite(ki)):
+            return i, None, None, None
         k[i] = ki
-    y5 = y + h * (k[:6].T @ _B5[:6])
-    if not np.all(np.isfinite(y5)):
-        return None
+    y5 = y + h * (kt[5] @ _B5_ROW)
+    if not _all(_isfinite(y5)):
+        return 5, None, None, None
     k6 = rhs(t + h, y5)
-    if not np.all(np.isfinite(k6)):
-        return None
+    if not _all(_isfinite(k6)):
+        return 6, None, None, None
     k[6] = k6
-    err = h * (k.T @ _E)
-    return y5, err, k6
+    return 6, y5, h * (kt[6] @ _E), k6
 
 
 def _refine_escape(rhs: Rhs, t: float, y: np.ndarray, f: np.ndarray,
-                   h: float, threshold: float):
+                   h: float, threshold: float, stages):
     """Bracket the threshold crossing inside an accepted step.
 
     The crossing is known to occur in (t, t+h]. A single fifth-order step
     from (t, y) is accurate over any sub-length of h, so plain bisection
     on the sub-step end time localises the escape. Returns
-    (t_escape, y_escape) with the escape state strictly past the
-    threshold and t_escape within _BRACKET_WIDTH of the true crossing.
+    (t_escape, y_escape, rhs_calls) with the escape state strictly past
+    the threshold and t_escape within _BRACKET_WIDTH of the true crossing.
     """
     lo, hi = 0.0, h
     y_hi = None
+    calls = 0
     while hi - lo > _BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
-        trial = _rk_step(rhs, t, y, f, mid)
-        if trial is None or float(np.max(np.abs(trial[0]))) > threshold:
+        n, y5, _, _ = _rk_step(rhs, t, y, f, mid, stages)
+        calls += n
+        if y5 is None or np.abs(y5).max() > threshold:
             hi = mid
-            y_hi = None if trial is None else trial[0]
+            y_hi = y5
         else:
             lo = mid
     if y_hi is None:
-        trial = _rk_step(rhs, t, y, f, hi)
-        y_hi = trial[0] if trial is not None else y * np.inf
-    return t + hi, y_hi
+        n, y5, _, _ = _rk_step(rhs, t, y, f, hi, stages)
+        calls += n
+        y_hi = y5 if y5 is not None else y * np.inf
+    return t + hi, y_hi, calls
 
 
 def integrate(spec: IvpSpec) -> IvpOutcome:
@@ -247,74 +310,97 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
     """
     rhs = spec.rhs
     t = float(spec.t0)
-    y = spec.y0.astype(float).copy()
-    f = np.asarray(rhs(t, y), dtype=float)
-    if not np.all(np.isfinite(f)):
+    y = spec.y0.astype(float)
+    f = np.array(rhs(t, y), dtype=float)
+    if not _all(_isfinite(f)):
         raise ValueError("rhs is not finite at the initial point")
 
     times = [t]
-    states = [y.copy()]
-    derivs = [f.copy()]
+    states = [y]
+    derivs = [f]
 
-    span = spec.horizon - spec.t0
-    h = _initial_step(rhs, t, y, f, spec.rtol, spec.atol, span)
+    horizon = spec.horizon
+    threshold = spec.blowup_threshold
+    min_step = spec.min_step
+    rtol, atol = spec.rtol, spec.atol
+    h = _initial_step(rhs, t, y, f, rtol, atol, horizon - spec.t0)
+    stages = _stage_buffer(y.size)
+    nfev = 2
+    rejected = retries = 0
     saw_nonfinite = False
 
-    def _finish(kind: str, t_end: float) -> IvpOutcome:
+    def _finish(kind: str, t_end: float, termination: str) -> IvpOutcome:
+        grid = np.asarray(times)
+        steps = np.diff(grid)
         return IvpOutcome(
             kind=kind,
             t_end=float(t_end),
-            times=np.asarray(times),
+            times=grid,
             states=np.asarray(states),
             derivs=np.asarray(derivs),
             spec=spec,
+            stats=IvpStats(
+                accepted=steps.size,
+                rejected=rejected,
+                rhs_calls=nfev,
+                nonfinite_retries=retries,
+                h_min=float(steps.min()) if steps.size else math.nan,
+                h_max=float(steps.max()) if steps.size else math.nan,
+                termination=termination,
+            ),
         )
 
     for _ in range(_MAX_STEPS):
-        if t >= spec.horizon:
-            return _finish(REACHED_HORIZON, spec.horizon)
+        if t >= horizon:
+            return _finish(REACHED_HORIZON, horizon, HORIZON)
         clamped = False
-        if t + h >= spec.horizon:
-            h = spec.horizon - t
+        if t + h >= horizon:
+            h = horizon - t
             clamped = True
 
-        if h < spec.min_step:
-            if saw_nonfinite and float(np.max(np.abs(y))) <= 0.5 * spec.blowup_threshold:
-                return _finish(DOMAIN_EXIT, t)
-            return _finish(BLOW_UP, t)
+        if h < min_step:
+            if saw_nonfinite and np.abs(y).max() <= 0.5 * threshold:
+                return _finish(DOMAIN_EXIT, t, NONFINITE)
+            return _finish(BLOW_UP, t, MIN_STEP_COLLAPSE)
 
-        trial = _rk_step(rhs, t, y, f, h)
-        if trial is None:
+        calls, y_new, err_vec, f_new = _rk_step(rhs, t, y, f, h, stages)
+        nfev += calls
+        if y_new is None:
             saw_nonfinite = True
+            retries += 1
             h *= 0.25
             continue
-        y_new, err_vec, f_new = trial
-        err = _error_norm(err_vec, y, y_new, spec.rtol, spec.atol)
-        if not np.isfinite(err):
+        err = _error_norm(err_vec, y, y_new, rtol, atol)
+        if not math.isfinite(err):
+            retries += 1
             h *= 0.25
             continue
 
         if err <= 1.0:
-            t_new = spec.horizon if clamped else t + h
-            if float(np.max(np.abs(y_new))) > spec.blowup_threshold:
-                t_esc, y_esc = _refine_escape(
-                    rhs, t, y, f, t_new - t, spec.blowup_threshold
+            t_new = horizon if clamped else t + h
+            if np.abs(y_new).max() > threshold:
+                t_esc, y_esc, calls = _refine_escape(
+                    rhs, t, y, f, t_new - t, threshold, stages
                 )
                 f_esc = np.asarray(rhs(t_esc, y_esc), dtype=float)
-                if not np.all(np.isfinite(f_esc)):
+                nfev += calls + 1
+                if not _all(_isfinite(f_esc)):
                     f_esc = np.zeros_like(y_esc)
                 times.append(t_esc)
                 states.append(y_esc)
                 derivs.append(f_esc)
-                return _finish(BLOW_UP, t_esc)
-            t, y, f = t_new, y_new, f_new
+                return _finish(BLOW_UP, t_esc, THRESHOLD_ESCAPE)
+            # y_new is a fresh array; f_new may be a buffer the RHS
+            # reuses, so keep a private copy as the next step's FSAL stage
+            t, y, f = t_new, y_new, f_new.copy()
             times.append(t)
-            states.append(y.copy())
-            derivs.append(f.copy())
+            states.append(y)
+            derivs.append(f)
             saw_nonfinite = False
             factor = _SAFETY * err ** (-_ORDER_EXP) if err > 0.0 else _FACTOR_MAX
             h *= min(_FACTOR_MAX, max(_FACTOR_MIN, factor))
         else:
+            rejected += 1
             factor = _SAFETY * err ** (-_ORDER_EXP)
             h *= min(1.0, max(_FACTOR_MIN, factor))
     raise StepBudgetError(_MAX_STEPS)

@@ -44,10 +44,6 @@ def sine_poly_values(coeffs, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def l2_inner(fv: np.ndarray, gv: np.ndarray, w: np.ndarray) -> float:
-    return float(np.dot(w, fv * gv))
-
-
 def h1_inner(fv: np.ndarray, fd: np.ndarray, gv: np.ndarray, gd: np.ndarray,
              w: np.ndarray) -> float:
     """Inner product int (f g + f' g') on (0, pi) from sampled values."""

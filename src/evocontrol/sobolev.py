@@ -2,10 +2,10 @@
 
 Three independent pieces:
 
-* a lower bound on the sharp constant of ||fg|| <= L^{-1}... rather, on
-  the best constant L with ||f^2|| >= L ||f||^2, obtained by maximizing
-  the ratio ||f_lam^2|| / ||f_lam||^2 over the kink family
-  f_lam(x) = e^{-lam |x - pi/2|} - e^{-lam pi/2};
+* a lower bound on the sharp constant of ||f^2|| <= L* ||f||^2: the
+  largest L with ||f_lam^2|| >= L ||f_lam||^2 for some member of the
+  kink family f_lam(x) = e^{-lam |x - pi/2|} - e^{-lam pi/2}, found by
+  maximizing the ratio ||f_lam^2|| / ||f_lam||^2 over lam, so L <= L*;
 * the convolution constant C(k) = (1/2pi) int dh / ((1+(k-h)^2)(1+h^2)),
   which a residue computation puts at exactly 1/(4+k^2) and which drives
   the upper bound ||fg|| <= ||f|| ||g||;

@@ -1,11 +1,12 @@
 """Integrator engine: accuracy, blow-up detection, classification."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from evocontrol import ode
+from evocontrol import fd, heat, kaplan, ode
 from evocontrol.errors import (
     BracketError,
     EvocontrolError,
@@ -183,3 +184,161 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ode.IvpSpec(dimension=1, rhs=lambda t, y: y, y0=np.array([2.0]),
                     t0=0.0, horizon=1.0, blowup_threshold=1.0)
+
+
+def _counted(rhs):
+    """Wrap an RHS so the test sees every call time."""
+    calls = []
+
+    def wrapped(t, y):
+        calls.append(t)
+        return rhs(t, y)
+
+    return wrapped, calls
+
+
+def _spec(rhs, y0=1.0, horizon=1.0, **kw):
+    return ode.IvpSpec(dimension=1, rhs=rhs, y0=np.array([y0]), t0=0.0,
+                       horizon=horizon, **kw)
+
+
+def _nan_after_half(t, y):
+    return np.array([math.nan]) if t > 0.5 else -y
+
+
+@pytest.mark.parametrize(
+    "rhs, kw, kind, termination",
+    [
+        (lambda t, y: -2.0 * y, {}, ode.REACHED_HORIZON, ode.HORIZON),
+        (lambda t, y: y**2, {"horizon": 5.0, "blowup_threshold": 1e6},
+         ode.BLOW_UP, ode.THRESHOLD_ESCAPE),
+        (lambda t, y: y**2, {"horizon": 5.0, "min_step": 1e-3},
+         ode.BLOW_UP, ode.MIN_STEP_COLLAPSE),
+        (_nan_after_half, {"horizon": 2.0}, ode.DOMAIN_EXIT, ode.NONFINITE),
+    ],
+)
+def test_stats_count_the_run(rhs, kw, kind, termination):
+    counted, calls = _counted(rhs)
+    outcome = ode.integrate(_spec(counted, **kw))
+    stats = outcome.stats
+    assert outcome.kind == kind
+    assert stats.termination == termination
+    assert stats.rhs_calls == len(calls)
+    assert stats.accepted == len(outcome.times) - 1
+    steps = np.diff(outcome.times)
+    assert stats.h_min == steps.min() and stats.h_max == steps.max()
+    assert (stats.nonfinite_retries > 0) == (termination == ode.NONFINITE)
+    if termination == ode.HORIZON:
+        # no escape bracketing: six fresh stages per attempt after the
+        # initial evaluation and the first-step guess
+        assert stats.rhs_calls == 2 + 6 * (stats.accepted + stats.rejected)
+
+
+def test_nonfinite_middle_stage_is_rejected_early():
+    # A clean run shows the first attempt: calls 0 and 1 are the initial
+    # point and the first-step guess, calls 2 and 3 the stages at 0.2 h
+    # and 0.3 h. Poison exactly the time of stage 2 of that attempt.
+    clean, clean_calls = _counted(lambda t, y: -y)
+    first = ode.integrate(_spec(clean))
+    assert first.stats.rejected == first.stats.nonfinite_retries == 0
+    h = first.times[1]
+    t_bad = clean_calls[3]
+
+    rhs, calls = _counted(
+        lambda t, y: np.array([math.nan]) if t == t_bad else -y
+    )
+    outcome = ode.integrate(_spec(rhs))
+    assert calls[:4] == clean_calls[:4]
+    # the next call is stage 1 of a new attempt with h quartered, so no
+    # stage after the non-finite one was evaluated
+    assert calls[4] == 0.2 * (h * 0.25)
+    assert outcome.times[1] == h * 0.25
+    stats = outcome.stats
+    assert stats.nonfinite_retries == 1
+    assert stats.rhs_calls == len(calls)
+    assert stats.rhs_calls == 2 + 2 + 6 * (stats.accepted + stats.rejected)
+    assert outcome.kind == ode.REACHED_HORIZON
+    assert abs(outcome.final_state[0] - math.exp(-1.0)) <= 1e-9
+
+
+def test_rhs_may_reuse_its_output_buffer():
+    # an RHS that writes every result into one array must give the same
+    # bits as one that returns fresh arrays, through rejected attempts
+    # (the next attempt starts from the stored FSAL stage) and through
+    # the escape bracketing
+    buf = np.empty(1)
+    runs = [
+        ode.integrate(_spec(rhs, horizon=5.0, blowup_threshold=1e6,
+                            rtol=1e-6, atol=1e-8))
+        for rhs in (lambda t, y: y * y,
+                    lambda t, y: np.multiply(y, y, out=buf))
+    ]
+    fresh, reused = runs
+    assert fresh.stats.rejected > 0
+    assert fresh.stats.termination == ode.THRESHOLD_ESCAPE
+    for a, b in ((fresh.times, reused.times), (fresh.states, reused.states),
+                 (fresh.derivs, reused.derivs)):
+        assert a.tobytes() == b.tobytes()
+
+
+def _run_digest(monkeypatch, fn):
+    """Call fn while recording every integration; returns its value, the
+    outcomes and a SHA-256 over their kinds, end times and histories."""
+    outcomes = []
+    integrate = ode.integrate
+
+    def recording(spec):
+        outcome = integrate(spec)
+        outcomes.append(outcome)
+        return outcome
+
+    monkeypatch.setattr(ode, "integrate", recording)
+    value = fn()
+    monkeypatch.setattr(ode, "integrate", integrate)
+    digest = hashlib.sha256()
+    for o in outcomes:
+        digest.update(o.kind.encode())
+        digest.update(float(o.t_end).hex().encode())
+        for a in (o.times, o.states, o.derivs):
+            digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return value, outcomes, digest.hexdigest()
+
+
+# Bits of four runs as the stepping core produced them before its lean
+# rewrite (numpy 2.4 with OpenBLAS on x86-64; another BLAS may round the
+# stage combinations differently). The digests cover times, states and
+# derivatives of every integration each run makes.
+def test_pinned_bits_coupled_scenario(monkeypatch):
+    result, outcomes, digest = _run_digest(
+        monkeypatch, lambda: heat.run_scenario(heat.HeatScenario(A=2.0)))
+    assert result.t_g.hex() == "0x1.8bd3eac380de3p-1"
+    assert len(outcomes[0].times) == 746
+    assert digest == (
+        "99b03947138201252d378f9436fe5489f8bae2133dc803e0bcad6acfd5777dbc")
+
+
+def test_pinned_bits_kaplan_comparison(monkeypatch):
+    t_esc, outcomes, digest = _run_digest(
+        monkeypatch, lambda: kaplan.comparison_blowup_time(2.0, 3))
+    assert t_esc.hex() == "0x1.2696201879107p-3"
+    assert len(outcomes[0].times) == 1228
+    assert digest == (
+        "ac03a44aa27f520da6a19121c64165f6b99b8075a5152e681de27b2269ff815d")
+
+
+def test_pinned_bits_fd_run(monkeypatch):
+    run, _, digest = _run_digest(
+        monkeypatch, lambda: fd.fd_single_run(fd.FdConfig(A=20.0, N=64)))
+    assert run.estimate.hex() == "0x1.109ee179707e2p-4"
+    assert len(run.times) - 1 == 139
+    assert digest == (
+        "7499bf33b8077ac970424ce53f28a600c095c9089fcf2abc0c1945d6496d95ca")
+
+
+def test_pinned_bits_critical_amplitude(monkeypatch):
+    value, outcomes, digest = _run_digest(monkeypatch, heat.critical_amplitude)
+    assert value.hex() == "0x1.0e93fffffffffp+0"
+    assert len(outcomes) == 14
+    assert sum(len(o.times) for o in outcomes) == 11000
+    assert digest == (
+        "e0bef934ef5efd0ad3db0430fafb20035fb592cfcc82fd9a50ff4d1653ee8468")

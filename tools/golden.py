@@ -1,0 +1,59 @@
+"""Write the outputs of a fixed set of CLI runs into one directory.
+
+Usage: python3 tools/golden.py OUTDIR
+
+Each subcommand runs in a fresh interpreter against the ``src/`` tree
+of the checkout this script lives in, inside its own subdirectory of
+OUTDIR with ``--out .``, so the files it writes and its captured
+stdout/stderr name only relative paths. Running the script at two
+commits and comparing with ``diff -r`` shows whether a change kept
+every JSON/CSV output byte-identical.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+RUNS = {
+    "table": ["table"],
+    "scenario": ["scenario", "--A", "4"],
+    "critical": ["critical"],
+    "limit": ["limit"],
+    "kaplan": ["kaplan", "--A", "4", "--A", "10"],
+    "fd": ["fd", "--A", "100", "--profile-time", "0.5"],
+    "picard": ["picard", "--A", "1", "--horizon", "2"],
+}
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/golden.py OUTDIR", file=sys.stderr)
+        return 2
+    root = os.path.abspath(argv[0])
+    env = dict(os.environ, PYTHONPATH=SRC)
+    failed = []
+    for name, args in RUNS.items():
+        where = os.path.join(root, name)
+        os.makedirs(where, exist_ok=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "evocontrol.cli", *args, "--out", "."],
+            cwd=where, env=env, capture_output=True, text=True,
+        )
+        for stream, text in (("stdout", proc.stdout), ("stderr", proc.stderr)):
+            with open(os.path.join(where, stream + ".txt"), "w") as fh:
+                fh.write(text)
+        with open(os.path.join(where, "exit_code.txt"), "w") as fh:
+            fh.write(f"{proc.returncode}\n")
+        print(f"{name}: exit {proc.returncode}")
+        if proc.returncode != 0:
+            failed.append(name)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
