@@ -199,14 +199,8 @@ def sn_iteration(q0: float, p: int, n: int, t: float,
         return q0
     grid = np.linspace(0.0, t, grid_points)
     h = grid[1] - grid[0]
-    W = quad.prefix_weights(grid_points, h)
     decay = np.exp(-grid) * q0
-    S = decay.copy()
-    if n == 0:
-        return float(S[-1])
-    exp_grid = np.exp(grid)
+    S = decay
     for _ in range(n):
-        integrand = exp_grid * S**p
-        integral = W @ integrand
-        S = decay + np.exp(-grid) * integral
+        S = decay + quad.exp_prefix(S**p, 1.0, h)
     return float(S[-1])

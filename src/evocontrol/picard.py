@@ -34,8 +34,6 @@ from . import galerkin, heat, ode
 from . import quadrature as quad
 from .errors import EvocontrolError
 
-_KERNEL_EXP_LIMIT = 400.0  # beyond this, e^{k^2 span} is not representable
-
 
 @dataclass(frozen=True)
 class FiniteVolterraProblem:
@@ -106,30 +104,6 @@ class TrajectoryGrid:
         return float(np.max(self.distance_curve(other)))
 
 
-def _prefix_matrix(problem: FiniteVolterraProblem) -> np.ndarray:
-    h = (problem.t1 - problem.t0) / problem.grid_n
-    return quad.prefix_weights(problem.grid_n + 1, h)
-
-
-def _mode_convolution(W: np.ndarray, times: np.ndarray, k: int,
-                      values: np.ndarray) -> np.ndarray:
-    """int_{t0}^{t_i} e^{-k^2 (t_i - s)} values(s) ds on the grid.
-
-    Fast path: the kernel factorizes, so one prefix-weight product per
-    mode suffices after rescaling by e^{-k^2 (t1 - s)} (all factors <= 1,
-    no overflow). When k^2 (t1 - t0) is too large for the inverse
-    rescale, fall back to the explicit kernel matrix.
-    """
-    ksq = float(k * k)
-    span = times[-1] - times[0]
-    if ksq * span <= _KERNEL_EXP_LIMIT:
-        g = np.exp(-ksq * (times[-1] - times)) * values
-        prefix = W @ g
-        return np.exp(ksq * (times[-1] - times)) * prefix
-    D = np.maximum(times[:, None] - times[None, :], 0.0)
-    return (W * np.exp(-ksq * D)) @ values
-
-
 def nonlinearity_on_grid(problem: FiniteVolterraProblem,
                          coords: np.ndarray) -> np.ndarray:
     """Projected power P(psi)^k at every grid time."""
@@ -143,9 +117,10 @@ def nonlinearity_on_grid(problem: FiniteVolterraProblem,
 
 
 def volterra_apply(problem: FiniteVolterraProblem,
-                   psi: TrajectoryGrid,
-                   W: np.ndarray | None = None) -> TrajectoryGrid:
-    """One application of the Volterra operator J on the grid."""
+                   psi: TrajectoryGrid) -> TrajectoryGrid:
+    """One application of the Volterra operator J on the grid: every
+    mode's convolution int e^{-k^2 (t-s)} P(psi(s))^k ds in one
+    :func:`quadrature.exp_prefix` call."""
     if psi.indices != problem.indices:
         raise ValueError("trajectory mode set does not match the problem")
     times = problem.times
@@ -153,31 +128,21 @@ def volterra_apply(problem: FiniteVolterraProblem,
         psi.times, times, rtol=0.0, atol=1e-12
     ):
         raise ValueError("trajectory grid does not match the problem grid")
-    if W is None:
-        W = _prefix_matrix(problem)
+    ksq = np.asarray(problem.indices, dtype=float) ** 2
+    h = (problem.t1 - problem.t0) / problem.grid_n
     P = nonlinearity_on_grid(problem, psi.coords)
-    out = np.empty_like(psi.coords)
-    rel = times - problem.t0
-    for col, k in enumerate(problem.indices):
-        ksq = float(k * k)
-        out[:, col] = np.exp(-ksq * rel) * problem.datum[col]
-        out[:, col] += _mode_convolution(W, times, k, P[:, col])
+    out = np.exp(-ksq * (times - problem.t0)[:, None]) * problem.datum
+    out += quad.exp_prefix(P, ksq, h)
     return TrajectoryGrid(indices=problem.indices, times=times, coords=out)
 
 
 def integral_error_curve(times: np.ndarray, eps_values: np.ndarray,
-                         U: float, B: float, delta: float,
-                         W: np.ndarray | None = None) -> np.ndarray:
+                         U: float, B: float, delta: float) -> np.ndarray:
     """Integral error estimator E(t) = u(t-t0) delta + int u(t-s) eps(s) ds
     on the grid, with u(t) = U e^{-B t}."""
-    if W is None:
-        h = (times[-1] - times[0]) / (len(times) - 1)
-        W = quad.prefix_weights(len(times), h)
-    rel = times - times[0]
-    head = U * np.exp(-B * rel) * delta
-    g = np.exp(-B * (times[-1] - times)) * eps_values
-    prefix = W @ g
-    return head + U * np.exp(B * (times[-1] - times)) * prefix
+    h = (times[-1] - times[0]) / (len(times) - 1)
+    head = U * np.exp(-B * (times - times[0])) * delta
+    return head + U * quad.exp_prefix(eps_values, B, h)
 
 
 @dataclass(frozen=True)
@@ -270,10 +235,9 @@ def iterate_and_check(problem: FiniteVolterraProblem,
     if radius.shape != (n,) or eps_values.shape != (n,):
         raise ValueError("radius and eps sample shapes must match the grid")
 
-    W = _prefix_matrix(problem)
     datum_gap = phi_ap.coords[0] - problem.datum
     delta = float(np.sqrt((datum_gap**2) @ phi_ap.metric_diag))
-    e_curve = integral_error_curve(times, eps_values, U, B, delta, W)
+    e_curve = integral_error_curve(times, eps_values, U, B, delta)
     sigma = float(np.max(e_curve))
     rho = float(np.max(radius))
     span = problem.t1 - problem.t0
@@ -284,7 +248,7 @@ def iterate_and_check(problem: FiniteVolterraProblem,
 
     iterates = [phi_ap]
     for _ in range(k_max + 1):
-        iterates.append(volterra_apply(problem, iterates[-1], W))
+        iterates.append(volterra_apply(problem, iterates[-1]))
 
     sup_distances = []
     tube_margins = []
@@ -345,7 +309,7 @@ def iterate_and_check(problem: FiniteVolterraProblem,
 def default_verification_modes(scenario_modes: Sequence[int]) -> tuple[int, ...]:
     """Scenario modes plus every mode up to twice the largest one, with a
     floor of 8: enough room for the dropped part of the nonlinearity to
-    show up while the kernels stay representable."""
+    show up."""
     top = max(max(scenario_modes) * 2 + 2, 8)
     return tuple(sorted(set(range(1, top + 1)) | set(scenario_modes)))
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,20 +15,18 @@ def test_mode_convolution_against_closed_form():
     # int_0^t e^{-(t-s)} e^{-s} ds = t e^{-t} for the first-mode kernel
     n = 2048
     times = np.linspace(0.0, 2.0, n + 1)
-    W = qd.prefix_weights(n + 1, 2.0 / n)
-    got = picard._mode_convolution(W, times, 1, np.exp(-times))
+    got = qd.exp_prefix(np.exp(-times), 1.0, 2.0 / n)
     exact = times * np.exp(-times)
     assert np.max(np.abs(got - exact)) <= 1e-10
 
 
 def test_mode_convolution_fallback_branch():
-    # a mode large enough to overflow the factorized rescale must take
-    # the explicit-kernel path and still integrate correctly
+    # a mode whose e^{k^2 span} would overflow a factorized rescale over
+    # the whole interval still integrates correctly
     n = 4096
     times = np.linspace(0.0, 2.0, n + 1)
-    W = qd.prefix_weights(n + 1, 2.0 / n)
-    k = 15  # k^2 * span = 450 > the factorization limit
-    got = picard._mode_convolution(W, times, k, np.ones(n + 1))
+    k = 15  # k^2 * span = 450
+    got = qd.exp_prefix(np.ones(n + 1), k * k, 2.0 / n)
     exact = (1.0 - np.exp(-(k**2) * times)) / k**2
     err = np.abs(got - exact)
     # the kernel's boundary layer (width 1/k^2) sits under the first
@@ -35,6 +34,18 @@ def test_mode_convolution_fallback_branch():
     # to quadrature-spacing accuracy; past the layer the rule recovers
     assert np.max(err) <= 1e-5
     assert np.max(err[times >= 0.2]) <= 1e-8
+
+
+def test_verification_memory_stays_linear_in_the_grid():
+    # grid_n = 2048: a dense 2049 x 2049 prefix matrix alone is 33.6 MB
+    tracemalloc.start()
+    try:
+        report = picard.verify_heat_scenario(A=1.0, t1=2.0, k_max=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 8e6
 
 
 def test_volterra_on_zero_trajectory_is_pure_decay():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,3 +68,58 @@ def test_prefix_weights_fourth_order_on_exponential():
 def test_prefix_weights_need_enough_points():
     with pytest.raises(ValueError):
         qd.prefix_weights(3, 0.1)
+
+
+def _factorized_reference(W, h, rate, v):
+    """e^{r(t_n - t)} (W @ (e^{-r(t_n - t)} v)), the dense form of the
+    kernel-weighted rule."""
+    n = len(W)
+    back = np.multiply.outer(h * (n - 1) - h * np.arange(n), rate)
+    return np.exp(back) * (W @ (np.exp(-back) * v))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 2049])
+def test_exp_prefix_matches_dense_rule(n):
+    h = 1.0 / 2048
+    W = qd.prefix_weights(n, h)
+    rng = np.random.default_rng(n)
+    for rate in (0.0, -1.0, 1.0, 64.0):
+        v = rng.standard_normal(n)
+        if rate == 0.0:
+            ref = W @ v
+        else:
+            ref = _factorized_reference(W, h, rate, v)
+        got = qd.exp_prefix(v, rate, h)
+        assert got.shape == (n,)
+        assert np.all(np.abs(got - ref) <= 1e-14 * (np.abs(W) @ np.abs(v)))
+    rates = np.array([-1.0, 0.0, 1.0, 64.0, 0.5, 4.0, 16.0, 9.0])
+    V = rng.standard_normal((n, 8))
+    got = qd.exp_prefix(V, rates, h)
+    assert got.shape == (n, 8)
+    err = np.abs(got - _factorized_reference(W, h, rates, V))
+    assert np.all(err <= 1e-14 * (np.abs(W) @ np.abs(V)))
+
+
+def test_exp_prefix_stiff_mode_far_past_dense_range():
+    # k^2 * span = 6400: e^{k^2 span} overflows, and the dense rule would
+    # need a 65537^2 matrix (34 GB); rate * h is about 0.1
+    k, span, n = 40, 4.0, 65_537
+    times = np.linspace(0.0, span, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            got = qd.exp_prefix(np.ones(n), k * k, span / (n - 1))
+    err = np.abs(got - (1.0 - np.exp(-(k**2) * times)) / k**2)
+    # the boundary layer of width 1/k^2 spans a few cells at the head
+    assert np.max(err) <= 1e-5
+    assert np.max(err[times >= 0.2]) <= 1e-8
+
+
+def test_exp_prefix_rejects_bad_input():
+    with pytest.raises(ValueError):
+        qd.exp_prefix(np.ones(3), 1.0, 0.1)
+    for rate in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            qd.exp_prefix(np.ones(8), rate, 0.1)
+    with pytest.raises(ValueError):
+        qd.exp_prefix(np.ones((8, 2)), np.array([1.0, math.nan]), 0.1)
