@@ -94,8 +94,6 @@ def _write_curve_csv(path: str, header: list[str],
 
 def cmd_table(args) -> int:
     amplitudes = args.amplitudes or list(_TABLE_AMPLITUDES)
-    if not amplitudes:
-        raise argparse.ArgumentError(None, "need at least one amplitude")
     rows = heat.table_rows(
         amplitudes, p=args.p, modes=args.modes, horizon=args.horizon,
         rtol=args.rtol, atol=args.atol,

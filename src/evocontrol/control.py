@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import ode
 from .errors import GrowthDomainError, OutOfDomainError, QuadratureError
+from .quadrature import adaptive_quad
 
 
 @dataclass(frozen=True)
@@ -153,8 +153,8 @@ def integral_estimator_eval(problem: ControlProblem, t: float,
     if t == problem.t0:
         return head
     integrand = lambda s: sg.value(t - s) * problem.errors.eps(s)
-    value, abserr = quad(integrand, problem.t0, t, epsabs=tol,
-                         epsrel=1e-10, limit=400)
+    value, abserr = adaptive_quad(integrand, problem.t0, t, epsabs=tol,
+                                  epsrel=1e-10, limit=400)
     if abserr > 1e3 * tol:
         raise QuadratureError("integral error estimator did not converge", abserr)
     return head + value

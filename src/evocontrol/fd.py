@@ -115,7 +115,7 @@ def fd_single_run(config: FdConfig) -> FdRun:
         estimate=estimate,
         times=outcome.times,
         max_norms=outcome.max_norm_history(),
-        min_value=float(np.min(outcome.states)),
+        min_value=float(np.min(outcome.min_history())),
     )
 
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
 
 from . import ode
 from . import quadrature as quad
@@ -108,7 +107,7 @@ def kaplan_time_by_quadrature(q0: float, p: int, tol: float = 1e-10) -> float:
         om = 1.0 - v
         return om ** (p - 2) / (qp - om ** (p - 1))
 
-    value, abserr = _scipy_quad(
+    value, abserr = quad.adaptive_quad(
         integrand, 0.0, 1.0, epsabs=tol * 1e-2, epsrel=tol, limit=800
     )
     if abserr > max(1e3 * tol * 1e-2, 1e-6 * abs(value)):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,6 +80,7 @@ _FACTOR_MAX = 5.0
 _ORDER_EXP = 0.2  # 1 / (order of the advancing solution)
 _MAX_STEPS = 20_000_000
 _BRACKET_WIDTH = 5e-7  # escape-time bracket, kept below the 1e-6 contract
+_REDUCE_BYTES = 1 << 17  # size of the block buffer of a history reduction
 
 
 @dataclass
@@ -151,25 +153,44 @@ class IvpOutcome:
     threshold escape, one final bracketing sample beyond the threshold),
     so the outcome doubles as a dense-output object via
     :meth:`interpolate`. ``stats`` holds the run's counters.
+
+    The history is held once: ``rows`` keeps the per-step state and
+    derivative rows the run appended, and ``states``/``derivs`` stack
+    them on first access, cache the array and release the rows.
+    ``final_state``, :meth:`max_norm_history` and :meth:`min_history`
+    read the rows as they are, stacked or not.
     """
 
     kind: str
     t_end: float
     times: np.ndarray
-    states: np.ndarray
-    derivs: np.ndarray
+    rows: dict = field(repr=False, compare=False)
     spec: IvpSpec = field(repr=False, compare=False)
     stats: IvpStats = field(compare=False)
 
+    @cached_property
+    def states(self) -> np.ndarray:
+        return np.asarray(self.rows.pop("states"))
+
+    @cached_property
+    def derivs(self) -> np.ndarray:
+        return np.asarray(self.rows.pop("derivs"))
+
+    def _state_rows(self):
+        """The stored states: the row list, or the array once stacked."""
+        stacked = self.__dict__.get("states")
+        return self.rows["states"] if stacked is None else stacked
+
     @property
     def final_state(self) -> np.ndarray:
-        return self.states[-1]
+        return self._state_rows()[-1]
 
     def interpolate(self, t) -> np.ndarray:
         """Cubic Hermite interpolation on the accepted-step grid.
 
         Accepts a scalar or 1-d array of times inside
         ``[times[0], times[-1]]``; returns states with one row per query.
+        An outcome without an accepted step returns its one sample.
         """
         tq = np.atleast_1d(np.asarray(t, dtype=float))
         lo, hi = self.times[0], self.times[-1]
@@ -178,7 +199,15 @@ class IvpOutcome:
             raise OutOfDomainError(
                 f"interpolation time outside [{lo}, {hi}]"
             )
-        tq = np.clip(tq, lo, hi)
+        if len(self.times) == 1:
+            out = self.states[np.zeros(tq.size, dtype=np.intp)]
+        else:
+            out = self._hermite(np.clip(tq, lo, hi))
+        if np.isscalar(t) or np.asarray(t).ndim == 0:
+            return out[0]
+        return out
+
+    def _hermite(self, tq: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.times, tq, side="right") - 1
         idx = np.clip(idx, 0, len(self.times) - 2)
         t0 = self.times[idx]
@@ -193,18 +222,37 @@ class IvpOutcome:
         y1 = self.states[idx + 1]
         f0 = self.derivs[idx]
         f1 = self.derivs[idx + 1]
-        out = (
+        return (
             h00[:, None] * y0
             + h10[:, None] * (h[:, None] * f0)
             + h01[:, None] * y1
             + h11[:, None] * (h[:, None] * f1)
         )
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return out[0]
-        return out
 
     def max_norm_history(self) -> np.ndarray:
-        return np.max(np.abs(self.states), axis=1)
+        """max |y| of every stored state."""
+        return _reduce_rows(self._state_rows(), np.max, absolute=True)
+
+    def min_history(self) -> np.ndarray:
+        """Smallest entry of every stored state."""
+        return _reduce_rows(self._state_rows(), np.min)
+
+
+def _reduce_rows(rows, reduce, absolute: bool = False) -> np.ndarray:
+    """``reduce(|rows| or rows, axis=1)`` without a copy of the history:
+    rows are copied block by block into one buffer of about
+    ``_REDUCE_BYTES``. Max and min are exact, so the values have the
+    bits of the reduction of the stacked array."""
+    n, width = len(rows), len(rows[0])
+    out = np.empty(n)
+    buf = np.empty((min(n, max(1, _REDUCE_BYTES // (8 * width))), width))
+    for s in range(0, n, len(buf)):
+        block = buf[: min(len(buf), n - s)]
+        block[...] = rows[s : s + len(block)]
+        if absolute:
+            np.abs(block, out=block)
+        reduce(block, axis=1, out=out[s : s + len(block)])
+    return out
 
 
 def _error_norm(err: np.ndarray, y_old: np.ndarray, y_new: np.ndarray,
@@ -336,8 +384,7 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
             kind=kind,
             t_end=float(t_end),
             times=grid,
-            states=np.asarray(states),
-            derivs=np.asarray(derivs),
+            rows={"states": states, "derivs": derivs},
             spec=spec,
             stats=IvpStats(
                 accepted=steps.size,

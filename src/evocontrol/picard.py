@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +41,9 @@ class FiniteVolterraProblem:
     """Diagonal truncation of the semilinear problem on a mode set.
 
     The semigroup acts mode-wise as e^{-k^2 t}; the nonlinearity is the
-    projected power from a spectral model on the same mode set.
+    projected power from a spectral model on the same mode set. The grid,
+    the free evolution and the monomial tables are computed once per
+    problem, on first use, and shared by every :func:`volterra_apply`.
     """
 
     indices: tuple[int, ...]
@@ -68,9 +71,37 @@ class FiniteVolterraProblem:
         if self.grid_n < 8:
             raise ValueError("grid resolution too small")
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
-        return np.linspace(self.t0, self.t1, self.grid_n + 1)
+        times = np.linspace(self.t0, self.t1, self.grid_n + 1)
+        times.flags.writeable = False  # shared by every iterate's grid
+        return times
+
+    @cached_property
+    def rates(self) -> np.ndarray:
+        """Decay rate k^2 of every mode."""
+        return np.asarray(self.indices, dtype=float) ** 2
+
+    @cached_property
+    def free_evolution(self) -> np.ndarray:
+        """e^{-k^2 (t - t0)} datum at every grid time."""
+        decay = np.exp(-self.rates * (self.times - self.t0)[:, None])
+        return decay * self.datum
+
+    @cached_property
+    def monomial_positions(self) -> np.ndarray:
+        """Column of each factor of each monomial of the model tensor."""
+        pos = {k: i for i, k in enumerate(self.indices)}
+        return np.array(
+            [[pos[l] for l in L] for L in self.model.tensor.monomials],
+            dtype=int,
+        )
+
+    @cached_property
+    def weighted_tensor(self) -> np.ndarray:
+        """(monomials, modes) map from monomial values to P(psi)."""
+        tensor = self.model.tensor
+        return (tensor.matrix * tensor.multiplicities).T
 
 
 @dataclass(frozen=True)
@@ -107,13 +138,8 @@ class TrajectoryGrid:
 def nonlinearity_on_grid(problem: FiniteVolterraProblem,
                          coords: np.ndarray) -> np.ndarray:
     """Projected power P(psi)^k at every grid time."""
-    tensor = problem.model.tensor
-    pos = {k: i for i, k in enumerate(problem.indices)}
-    mono_pos = np.array(
-        [[pos[l] for l in L] for L in tensor.monomials], dtype=int
-    )
-    mono = np.prod(coords[:, mono_pos], axis=2)
-    return mono @ (tensor.matrix * tensor.multiplicities).T
+    mono = np.prod(coords[:, problem.monomial_positions], axis=2)
+    return mono @ problem.weighted_tensor
 
 
 def volterra_apply(problem: FiniteVolterraProblem,
@@ -128,11 +154,9 @@ def volterra_apply(problem: FiniteVolterraProblem,
         psi.times, times, rtol=0.0, atol=1e-12
     ):
         raise ValueError("trajectory grid does not match the problem grid")
-    ksq = np.asarray(problem.indices, dtype=float) ** 2
     h = (problem.t1 - problem.t0) / problem.grid_n
     P = nonlinearity_on_grid(problem, psi.coords)
-    out = np.exp(-ksq * (times - problem.t0)[:, None]) * problem.datum
-    out += quad.exp_prefix(P, ksq, h)
+    out = problem.free_evolution + quad.exp_prefix(P, problem.rates, h)
     return TrajectoryGrid(indices=problem.indices, times=times, coords=out)
 
 

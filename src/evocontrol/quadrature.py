@@ -6,6 +6,10 @@ degree on an interval of length pi (d/2 + O(1) nodes, the algebraic
 count, leaves errors of order 1e-2 already at degree 24). ``nodes(d)``
 therefore allocates d + 16 nodes, which lands at machine precision with
 a comfortable margin for every degree used in this package.
+
+:func:`adaptive_quad` is the one door to ``scipy.integrate.quad``; it
+imports scipy at its first call, so only the adaptive-quadrature routes
+load it.
 """
 
 from __future__ import annotations
@@ -25,6 +29,14 @@ def nodes(trig_degree: int) -> tuple[np.ndarray, np.ndarray]:
     n = int(trig_degree) + 16
     x, w = leggauss(n)
     return (x + 1.0) * (np.pi / 2.0), w * (np.pi / 2.0)
+
+
+def adaptive_quad(fn, a: float, b: float, **options):
+    """``scipy.integrate.quad(fn, a, b, **options)``, with scipy imported
+    here rather than when the package loads."""
+    from scipy.integrate import quad
+
+    return quad(fn, a, b, **options)
 
 
 def sine_values(k: int, x: np.ndarray) -> np.ndarray:

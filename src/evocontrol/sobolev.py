@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import quad as _quad
 
 from . import heat
 from . import quadrature as qd
@@ -101,8 +100,9 @@ def closed_ratio(lam: float) -> float:
 
 def _split_quad(fn) -> float:
     half = math.pi / 2.0
-    left, _ = _quad(fn, 0.0, half, epsabs=1e-14, epsrel=1e-13, limit=200)
-    right, _ = _quad(fn, half, math.pi, epsabs=1e-14, epsrel=1e-13, limit=200)
+    opts = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
+    left, _ = qd.adaptive_quad(fn, 0.0, half, **opts)
+    right, _ = qd.adaptive_quad(fn, half, math.pi, **opts)
     return left + right
 
 
@@ -184,7 +184,7 @@ def convolution_constant(k: float) -> float:
         return 1.0 / (1.0 + d * d)
 
     peak = math.atan(k)
-    val, err = _quad(
+    val, err = qd.adaptive_quad(
         integrand, -math.pi / 2.0, math.pi / 2.0,
         points=[peak], epsabs=1e-14, epsrel=1e-13, limit=200,
     )

@@ -1,6 +1,7 @@
 """Finite-difference reference estimates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,22 @@ def test_blowup_estimate_sits_between_certified_bounds():
     # positivity is preserved up to integrator noise
     assert est.coarse.min_value >= -1e-10
     assert est.fine.min_value >= -1e-10
+
+
+def test_single_run_holds_its_history_once():
+    # the run's rows are the only copy of its history: no stacked or
+    # absolute-value copy is built for the max-norms and the minimum
+    fd.fd_single_run(fd.FdConfig(A=100.0, N=64))
+    config = fd.FdConfig(A=20.0, N=256)
+    tracemalloc.start()
+    try:
+        run = fd.fd_single_run(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(run.times) - 1 >= 500
+    history = 2 * len(run.times) * config.N * 8  # states + derivs
+    assert peak < 1.3 * history
 
 
 def test_small_datum_reaches_horizon():

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,49 @@ def test_domain_exit_on_nonfinite_rhs():
     outcome = ode.integrate(spec)
     assert outcome.kind == ode.DOMAIN_EXIT
     assert abs(outcome.t_end - 0.5) <= 1e-6
+
+
+def test_interpolation_without_an_accepted_step():
+    # non-finite for every t > 0: no step is accepted, and the outcome
+    # holds the initial sample alone
+    def rhs(t, y):
+        return -y if t == 0.0 else np.array([math.nan])
+
+    outcome = ode.integrate(_spec(rhs))
+    assert outcome.kind == ode.DOMAIN_EXIT
+    assert outcome.stats.accepted == 0 and len(outcome.times) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert outcome.interpolate(0.0).tolist() == [1.0]
+        assert outcome.interpolate(np.zeros(3)).tolist() == [[1.0]] * 3
+    with pytest.raises(OutOfDomainError):
+        outcome.interpolate(0.1)
+
+
+def test_history_reductions_match_the_stacked_states(monkeypatch):
+    # max-norms and minima are taken row by row from the stored history;
+    # max and min are exact, so they carry the bits of the reductions of
+    # the stacked array, before and after it is stacked
+    outcomes = []
+    integrate = ode.integrate
+
+    def recording(spec):
+        outcomes.append(integrate(spec))
+        return outcomes[-1]
+
+    monkeypatch.setattr(ode, "integrate", recording)
+    run = fd.fd_single_run(fd.FdConfig(A=20.0, N=64))
+    (outcome,) = outcomes
+    assert "states" in outcome.rows
+    final = outcome.final_state
+    states = outcome.states
+    assert outcome.states is states and "states" not in outcome.rows
+    assert final.tobytes() == states[-1].tobytes()
+    norms = np.max(np.abs(states), axis=1)
+    assert run.max_norms.tobytes() == norms.tobytes()
+    assert outcome.max_norm_history().tobytes() == norms.tobytes()
+    assert run.min_value.hex() == float(np.min(states)).hex()
+    assert outcome.min_history().tobytes() == np.min(states, axis=1).tobytes()
 
 
 def test_bisect_parameter_scalar_family():

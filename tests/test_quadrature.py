@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import evocontrol
 from evocontrol import quadrature as qd
 
 
@@ -123,3 +127,24 @@ def test_exp_prefix_rejects_bad_input():
             qd.exp_prefix(np.ones(8), rate, 0.1)
     with pytest.raises(ValueError):
         qd.exp_prefix(np.ones((8, 2)), np.array([1.0, math.nan]), 0.1)
+
+
+_SCIPY_LAZY = """
+import sys
+import evocontrol, evocontrol.cli
+from evocontrol import fd, kaplan
+fd.fd_blowup_time(fd.FdConfig(A=100.0))
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+print(abs(kaplan.kaplan_time_by_quadrature(2.0, 2) - kaplan.kaplan_time(2.0, 2)))
+"""
+
+
+def test_scipy_loads_only_at_the_first_adaptive_quadrature():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(evocontrol.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", _SCIPY_LAZY], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout.split("\n")
+    assert out[0] == "[]"
+    assert float(out[1]) <= 1e-8
