@@ -43,7 +43,6 @@ from .galerkin import (
 from .heat import (
     C_K,
     C_N,
-    SPEC_VERSION,
     HeatScenario,
     ScenarioResult,
     basic_bounds,
@@ -78,6 +77,7 @@ from .picard import (
     verify_heat_scenario,
     volterra_apply,
 )
+from .records import SPEC_VERSION
 from .sobolev import (
     algebra_property_test,
     best_ratio,

@@ -17,11 +17,9 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import fd, heat, kaplan, picard, sobolev, wave
 from .errors import EvocontrolError
-from .heat import atomic_write_text, fmt_float, write_json
+from .records import SPEC_VERSION, ext_pair, fmt_float, write_csv, write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -80,14 +78,6 @@ def _outpath(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
-def _write_curve_csv(path: str, header: list[str],
-                     columns: list[np.ndarray]) -> None:
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(fmt_float(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -99,19 +89,17 @@ def cmd_table(args) -> int:
         rtol=args.rtol, atol=args.atol,
         blowup_threshold=args.blowup_threshold,
     )
-    lines = ["A,t_N,t_G,t_K,eta"]
-    for r in rows:
-        t_k = math.inf if r.t_k is None else r.t_k
-        eta = math.inf if r.eta is None else r.eta
-        lines.append(
-            ",".join(fmt_float(v) for v in (r.scenario.A, r.t_n, r.t_g, t_k, eta))
-        )
     csv_path = _outpath(args, "table.csv")
-    atomic_write_text(csv_path, "\n".join(lines) + "\n")
+    write_csv(csv_path, ["A", "t_N", "t_G", "t_K", "eta"], [
+        (r.scenario.A, r.t_n, r.t_g,
+         math.inf if r.t_k is None else r.t_k,
+         math.inf if r.eta is None else r.eta)
+        for r in rows
+    ])
     json_path = _outpath(args, "table.json")
     write_json(
         {
-            "spec_version": heat.SPEC_VERSION,
+            "spec_version": SPEC_VERSION,
             "kind": "table",
             "rows": [heat.scenario_record(r) for r in rows],
         },
@@ -133,27 +121,14 @@ def cmd_scenario(args) -> int:
     write_json(heat.scenario_record(result), _outpath(args, "scenario.json"))
     heat.write_scenario_csv(result, _outpath(args, "scenario.csv"))
     tr = result.trajectory
-    col_of = {k: i for i, k in enumerate(tr.modes)}
-    gamma = (
-        tr.coords[:, col_of[3]]
-        if 3 in col_of
-        else np.zeros_like(tr.times)
-    )
-    _write_curve_csv(
-        _outpath(args, "fig_alpha.csv"), ["t", "alpha"],
-        [tr.times, tr.coords[:, col_of[1]]],
-    )
-    _write_curve_csv(
-        _outpath(args, "fig_gamma.csv"), ["t", "gamma"], [tr.times, gamma]
-    )
-    _write_curve_csv(
-        _outpath(args, "fig_norm_R.csv"), ["t", "norm_phi_ap", "R"],
-        [tr.times, tr.norm_phi, tr.radius],
-    )
-    _write_curve_csv(
-        _outpath(args, "fig_ratio.csv"), ["t", "ratio"],
-        [tr.times, tr.ratio],
-    )
+    for name, header, columns in (
+        ("fig_alpha.csv", ["t", "alpha"], [tr.times, tr.coordinate(1)]),
+        ("fig_gamma.csv", ["t", "gamma"], [tr.times, tr.coordinate(3)]),
+        ("fig_norm_R.csv", ["t", "norm_phi_ap", "R"],
+         [tr.times, tr.norm_phi, tr.radius]),
+        ("fig_ratio.csv", ["t", "ratio"], [tr.times, tr.ratio]),
+    ):
+        write_csv(_outpath(args, name), header, zip(*columns))
     print(
         f"A={A}: {result.outcome_kind}, t_G={fmt_float(result.t_g)}; "
         f"wrote scenario.json, scenario.csv and 4 figure CSVs in {args.out}"
@@ -167,7 +142,7 @@ def cmd_critical(args) -> int:
         rtol=args.rtol, atol=args.atol,
     )
     record = {
-        "spec_version": heat.SPEC_VERSION,
+        "spec_version": SPEC_VERSION,
         "kind": "critical_amplitude",
         "p": args.p,
         "modes": list(args.modes),
@@ -185,7 +160,7 @@ def cmd_limit(args) -> int:
     result = heat.rescaled_limit(p=args.p, modes=args.modes)
     eta_inf = heat.limit_uncertainty(result.escape_time)
     record = {
-        "spec_version": heat.SPEC_VERSION,
+        "spec_version": SPEC_VERSION,
         "kind": "rescaled_limit",
         "p": args.p,
         "modes": list(args.modes),
@@ -211,7 +186,7 @@ def cmd_kaplan(args) -> int:
         if q0 > 1.0:
             closed = kaplan.kaplan_time(q0, args.p)
             entry.update(
-                heat._ext_pair("t_K", closed)
+                ext_pair("t_K", closed)
                 | {
                     "t_K_quadrature": kaplan.kaplan_time_by_quadrature(
                         q0, args.p
@@ -222,10 +197,10 @@ def cmd_kaplan(args) -> int:
                 }
             )
         else:
-            entry.update(heat._ext_pair("t_K", None))
+            entry.update(ext_pair("t_K", None))
         entries.append(entry)
     record = {
-        "spec_version": heat.SPEC_VERSION,
+        "spec_version": SPEC_VERSION,
         "kind": "kaplan",
         "entries": entries,
     }
@@ -264,6 +239,11 @@ def cmd_picard(args) -> int:
 
 
 def cmd_fd(args) -> int:
+    if args.profile_time is not None and args.p != 2:
+        raise argparse.ArgumentError(
+            None, "--profile-time needs --p 2: the closed-form limit "
+            "profile exists only for p=2"
+        )
     amplitudes = args.amplitudes or [4.0]
     estimates = []
     for A in amplitudes:
@@ -274,7 +254,7 @@ def cmd_fd(args) -> int:
         )
         estimates.append(fd.fd_blowup_time(config))
     record = {
-        "spec_version": heat.SPEC_VERSION,
+        "spec_version": SPEC_VERSION,
         "kind": "fd_estimates",
         "label": "reference estimates",
         "entries": [e.to_dict() for e in estimates],
@@ -288,11 +268,12 @@ def cmd_fd(args) -> int:
         grid = config.grid
         profile = fd.limit_profile(args.profile_time, grid)
         deviation = fd.limit_profile_check(
-            amplitudes[0], args.profile_time, N=args.N
+            amplitudes[0], args.profile_time, N=args.N,
+            rtol=args.rtol, atol=args.atol,
         )
-        _write_curve_csv(
-            _outpath(args, "fig_profile.csv"),
-            ["x", "closed_form"], [grid, profile],
+        write_csv(
+            _outpath(args, "fig_profile.csv"), ["x", "closed_form"],
+            zip(grid, profile),
         )
         record["profile_deviation"] = deviation
         write_json(record, path)
@@ -317,12 +298,12 @@ def cmd_wave(args) -> int:
                 "sup_abs": sup_abs,
                 "p": p,
             }
-            | heat._ext_pair("t_N", tn)
-            | heat._ext_pair("theta", theta)
+            | ext_pair("t_N", tn)
+            | ext_pair("theta", theta)
             | {"norm_guarantee_sharp": theta == tn}
         )
     record = {
-        "spec_version": heat.SPEC_VERSION,
+        "spec_version": SPEC_VERSION,
         "kind": "wave_cases",
         "cases": cases,
     }

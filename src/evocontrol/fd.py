@@ -21,8 +21,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import heat, ode
+from . import ode
 from .errors import GridDisagreementError
+from .records import SPEC_VERSION, ext_pair, write_csv
 
 _AGREEMENT_RTOL = 0.02
 
@@ -90,19 +91,22 @@ class FdRun:
         return self.kind == ode.BLOW_UP
 
 
-def fd_single_run(config: FdConfig) -> FdRun:
-    y0 = config.A * math.sqrt(2.0 / math.pi) * np.sin(config.grid)
-    spec = ode.IvpSpec(
+def _mol_spec(config: FdConfig) -> ode.IvpSpec:
+    """Method-of-lines IVP of a configuration, from A s_1 on the grid."""
+    return ode.IvpSpec(
         dimension=config.N,
         rhs=semidiscrete_rhs(config.N, config.p),
-        y0=y0,
+        y0=config.A * math.sqrt(2.0 / math.pi) * np.sin(config.grid),
         t0=0.0,
         horizon=config.horizon,
         rtol=config.rtol,
         atol=config.atol,
         blowup_threshold=config.blowup_threshold,
     )
-    outcome = ode.integrate(spec)
+
+
+def fd_single_run(config: FdConfig) -> FdRun:
+    outcome = ode.integrate(_mol_spec(config))
     if outcome.kind == ode.DOMAIN_EXIT:
         raise GridDisagreementError(
             f"semidiscrete run left the domain at t={outcome.t_end} "
@@ -137,7 +141,7 @@ class FdEstimate:
 
     def to_dict(self) -> dict:
         return {
-            "spec_version": heat.SPEC_VERSION,
+            "spec_version": SPEC_VERSION,
             "kind": "fd_blowup_estimate",
             "label": self.label,
             "A": self.coarse.config.A,
@@ -146,8 +150,7 @@ class FdEstimate:
             "N_fine": self.fine.config.N,
             "horizon": self.coarse.config.horizon,
             "blowup_threshold": self.coarse.config.blowup_threshold,
-            "estimate": None if math.isinf(self.value) else self.value,
-            "estimate_infinite": math.isinf(self.value),
+            **ext_pair("estimate", self.value),
             "coarse_estimate": None
             if math.isinf(self.coarse.estimate)
             else self.coarse.estimate,
@@ -214,33 +217,19 @@ def limit_profile_check(A_large: float, rescaled_time: float,
         A=A_large, N=N, horizon=rescaled_time / A_large + 1e-12,
         rtol=rtol, atol=atol,
     )
-    if rescaled_time == 0.0:
-        profile = limit_profile(0.0, config.grid)
-        sampled = config.A * c * np.sin(config.grid) / A_large
-        return float(np.max(np.abs(sampled - profile)))
-    run_spec = ode.IvpSpec(
-        dimension=config.N,
-        rhs=semidiscrete_rhs(config.N, config.p),
-        y0=config.A * c * np.sin(config.grid),
-        t0=0.0,
-        horizon=config.horizon,
-        rtol=config.rtol,
-        atol=config.atol,
-        blowup_threshold=config.blowup_threshold,
-    )
-    outcome = ode.integrate(run_spec)
-    if outcome.kind != ode.REACHED_HORIZON:
-        raise GridDisagreementError(
-            f"fd run ended with {outcome.kind} before the comparison time"
-        )
-    state = outcome.interpolate(rescaled_time / A_large)
+    spec = _mol_spec(config)
+    state = spec.y0
+    if rescaled_time > 0.0:
+        outcome = ode.integrate(spec)
+        if outcome.kind != ode.REACHED_HORIZON:
+            raise GridDisagreementError(
+                f"fd run ended with {outcome.kind} before the comparison time"
+            )
+        state = outcome.interpolate(rescaled_time / A_large)
     profile = limit_profile(rescaled_time, config.grid)
     return float(np.max(np.abs(state / A_large - profile)))
 
 
 def write_norms_csv(path, run: FdRun) -> None:
     """CSV of (t, max_norm) for one run; values carry no certification."""
-    lines = ["t,max_norm"]
-    for t, m in zip(run.times, run.max_norms):
-        lines.append(f"{heat.fmt_float(t)},{heat.fmt_float(m)}")
-    heat.atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, ["t", "max_norm"], zip(run.times, run.max_norms))

@@ -67,55 +67,61 @@ class GalerkinBasis:
         return float(np.sqrt(np.dot(self.metric_diag, a * a)))
 
 
+def multiset_products(a: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """The size-p monomials ``prod_{l in L} a^l`` of coordinate arrays of
+    shape (..., m), one per row of ``positions`` (the coordinate column
+    of each factor of L); the result has shape (..., len(positions)).
+
+    This is the package's one monomial kernel: the reduced field, the
+    residual form, the (a, R) right-hand side and the Picard
+    nonlinearity all evaluate through it. A single state skips the
+    ellipsis index, which would double the cost of the gather.
+    """
+    factors = a[positions] if a.ndim == 1 else a[..., positions]
+    return np.multiply.reduce(factors, axis=-1)
+
+
 @dataclass(frozen=True)
 class NonlinearTensor:
     """Symmetric coefficients of the projected power nonlinearity.
 
-    ``entries[(k, L)]`` with L a sorted size-p tuple holds
-    ``<s_k | prod s_L>_{L2}``; ``multiplicities`` holds the multinomial
-    count of each multiset so that contraction over ordered tuples
-    reduces to a weighted sum over multisets.
+    Column j of ``matrix`` holds ``<s_k | prod s_L>_{L2}`` for the j-th
+    sorted size-p tuple L of ``monomials``, whose factors sit in the
+    coordinate columns ``positions[j]``; ``multiplicities`` holds the
+    multinomial count of each multiset, and ``weighted`` is
+    ``matrix * multiplicities``, so that the contraction over ordered
+    tuples is ``weighted @ multiset_products(a, positions)``.
     """
 
     p: int
     monomials: tuple[tuple[int, ...], ...]
     multiplicities: np.ndarray
     matrix: np.ndarray  # shape (len(indices), len(monomials))
-
-    def contract(self, a_by_index: Mapping[int, float]) -> np.ndarray:
-        mono = np.array(
-            [math.prod(a_by_index[l] for l in L) for L in self.monomials]
-        )
-        return self.matrix @ (self.multiplicities * mono)
+    positions: np.ndarray = field(repr=False)  # shape (len(monomials), p)
+    weighted: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
 class EpsilonForm:
-    """Homogeneous degree-2p residual form as a Gram matrix over monomials."""
+    """Homogeneous degree-2p residual form as a Gram matrix over monomials;
+    ``weighted`` folds the multiplicities of both sides into ``gram``."""
 
     p: int
     monomials: tuple[tuple[int, ...], ...]
     multiplicities: np.ndarray
     gram: np.ndarray
-
-    def value(self, a_by_index: Mapping[int, float]) -> float:
-        v = self.multiplicities * np.array(
-            [math.prod(a_by_index[l] for l in L) for L in self.monomials]
-        )
-        return float(v @ self.gram @ v)
+    positions: np.ndarray = field(repr=False)
+    weighted: np.ndarray = field(repr=False)
 
     def value_many(self, coords: np.ndarray, indices: Sequence[int]) -> np.ndarray:
         """Vectorized form evaluation for rows of ``coords`` (one
-        coordinate vector per row, ordered like ``indices``)."""
-        pos = {k: i for i, k in enumerate(indices)}
-        cols = []
-        for L in self.monomials:
-            prod = np.ones(coords.shape[0])
-            for l in L:
-                prod = prod * coords[:, pos[l]]
-            cols.append(prod)
-        V = np.column_stack(cols) * self.multiplicities
-        return np.einsum("ij,jk,ik->i", V, self.gram, V)
+        coordinate vector per row, ordered like ``indices``, which must
+        be the model's ascending mode order)."""
+        factors = np.asarray(indices)[self.positions]
+        if not np.array_equal(factors, self.monomials):
+            raise ValueError("columns do not follow the model's mode order")
+        mono = multiset_products(coords, self.positions)
+        return np.einsum("ij,jk,ik->i", mono, self.weighted, mono)
 
 
 @dataclass(frozen=True)
@@ -134,21 +140,17 @@ def _multiplicity(L: tuple[int, ...]) -> int:
     return m
 
 
-def _product_on_nodes(factors: Sequence[int], x: np.ndarray):
-    """Values and derivative of prod_i s_{k_i} on the nodes."""
-    vals = [quad.sine_values(k, x) for k in factors]
-    ders = [quad.sine_derivs(k, x) for k in factors]
-    prod = np.ones_like(x)
-    for v in vals:
-        prod = prod * v
-    dprod = np.zeros_like(x)
-    for i in range(len(factors)):
-        term = ders[i].copy()
-        for j, v in enumerate(vals):
-            if j != i:
-                term = term * v
-        dprod += term
-    return prod, dprod
+def _products_on_nodes(SV: np.ndarray, SD: np.ndarray,
+                       positions: np.ndarray):
+    """Values and derivatives of prod_{l in L} s_l on the nodes, one row
+    per row of ``positions``, from the mode samples SV and SD. Term i of
+    the derivative multiplies s_{l_i}' by the other factors in order."""
+    vals = SV[positions]  # (monomials, p, nodes)
+    dprod = np.zeros_like(vals[:, 0])
+    for i in range(positions.shape[1]):
+        factors = [SD[positions[:, i : i + 1]], np.delete(vals, i, axis=1)]
+        dprod += np.multiply.reduce(np.concatenate(factors, axis=1), axis=1)
+    return np.multiply.reduce(vals, axis=1), dprod
 
 
 def build_model(indices: Sequence[int], p: int) -> GalerkinModel:
@@ -160,18 +162,12 @@ def build_model(indices: Sequence[int], p: int) -> GalerkinModel:
     kmax = max(idx)
     monomials = tuple(combinations_with_replacement(idx, p))
     mult = np.array([_multiplicity(L) for L in monomials], dtype=float)
+    positions = np.searchsorted(idx, monomials)
 
     x, w = quad.nodes(2 * p * kmax)
-    prod_vals = []
-    prod_ders = []
-    for L in monomials:
-        pv, pd = _product_on_nodes(L, x)
-        prod_vals.append(pv)
-        prod_ders.append(pd)
-    PV = np.array(prod_vals)
-    PD = np.array(prod_ders)
-
     SV = np.array([quad.sine_values(k, x) for k in idx])
+    SD = np.array([quad.sine_derivs(k, x) for k in idx])
+    PV, PD = _products_on_nodes(SV, SD, positions)
     # L2 pairings of each mode against each monomial product
     P = (SV * w) @ PV.T
     # ambient Gram matrix of the monomial products
@@ -181,32 +177,31 @@ def build_model(indices: Sequence[int], p: int) -> GalerkinModel:
     gram = 0.5 * (gram + gram.T)
 
     tensor = NonlinearTensor(
-        p=p, monomials=monomials, multiplicities=mult, matrix=P
+        p=p, monomials=monomials, multiplicities=mult, matrix=P,
+        positions=positions, weighted=P * mult,
     )
     eps_form = EpsilonForm(
-        p=p, monomials=monomials, multiplicities=mult, gram=gram
+        p=p, monomials=monomials, multiplicities=mult, gram=gram,
+        positions=positions, weighted=(mult[:, None] * mult[None, :]) * gram,
     )
     return GalerkinModel(basis=basis, p=p, tensor=tensor, eps_form=eps_form)
-
-
-def _coords_mapping(model: GalerkinModel, a: np.ndarray) -> dict[int, float]:
-    a = np.asarray(a, dtype=float)
-    if a.shape != (len(model.basis.indices),):
-        raise ValueError(
-            f"expected {len(model.basis.indices)} coordinates, got shape {a.shape}"
-        )
-    return dict(zip(model.basis.indices, a))
 
 
 def vector_field(model: GalerkinModel, a: np.ndarray) -> np.ndarray:
     """Reduced right-hand side X(a): diagonal decay plus the projected power."""
     a = np.asarray(a, dtype=float)
-    lin = model.basis.eigenvalues * a
-    return lin + model.tensor.contract(_coords_mapping(model, a))
+    tensor = model.tensor
+    mono = multiset_products(a, tensor.positions)
+    return model.basis.eigenvalues * a + tensor.weighted @ mono
 
 
 def epsilon_sq(model: GalerkinModel, a: np.ndarray) -> float:
-    return model.eps_form.value(_coords_mapping(model, a))
+    a = np.asarray(a, dtype=float)
+    if a.shape != (len(model.basis.indices),):
+        raise ValueError(f"expected one coordinate per mode, got {a.shape}")
+    form = model.eps_form
+    mono = multiset_products(a, form.positions)
+    return float(mono @ form.weighted @ mono)
 
 
 def epsilon_hat(model: GalerkinModel, a: np.ndarray) -> float:
@@ -303,8 +298,9 @@ def eigen_invariance_defect(indices: Sequence[int], p: int) -> tuple[float, floa
             quad_block = max(quad_block, abs(quad.h1_inner(rv, rd, sv, sd, w)))
 
     cross_block = 0.0
-    for L in combinations_with_replacement(idx, p):
-        pv, pd = _product_on_nodes(L, x)
+    monomials = list(combinations_with_replacement(idx, p))
+    positions = np.searchsorted(idx, monomials)
+    for pv, pd in zip(*_products_on_nodes(SV, SD, positions)):
         rv, rd = project_out(pv, pd)
         for lv, ld in lin_res:
             cross_block = max(cross_block, abs(quad.h1_inner(lv, ld, rv, rd, w)))

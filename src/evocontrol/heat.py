@@ -29,10 +29,7 @@ Amplitude thresholds, all computed rather than hard-coded:
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -42,11 +39,11 @@ from . import galerkin, ode
 from .control import tn_closed, r_closed
 from .errors import EvocontrolError, OutOfDomainError
 from .kaplan import kaplan_time
+from .records import SPEC_VERSION, ext_pair, write_csv
+from .records import write_json  # noqa: F401  (re-exported for callers)
 
 C_N = math.sqrt(2.0) / 2.0
 C_K = 2.0 * math.sqrt(2.0 / math.pi)
-
-SPEC_VERSION = "1.0"
 
 _UNIFORM_SAMPLES = 512
 _REFINE_SAMPLES = 48
@@ -105,6 +102,13 @@ class TrajectorySamples:
     norm_phi: np.ndarray
     ratio: np.ndarray
 
+    def coordinate(self, k: int) -> np.ndarray:
+        """Mode-k coordinate at every sample time; zeros when mode k is
+        not in the mode set."""
+        if k not in self.modes:
+            return np.zeros_like(self.times)
+        return self.coords[:, self.modes.index(k)]
+
 
 @dataclass(frozen=True)
 class ScenarioResult:
@@ -128,18 +132,15 @@ def _coupled_rhs(model: galerkin.GalerkinModel, linear_factor: float):
     p = model.p
     lam = linear_factor * basis.eigenvalues
     metric = basis.metric_diag
-    pos = {k: i for i, k in enumerate(basis.indices)}
-    mono_pos = np.array(
-        [[pos[l] for l in L] for L in model.tensor.monomials], dtype=int
-    )
-    mult = model.tensor.multiplicities
-    tensor_mat = model.tensor.matrix * mult
-    gram2 = (mult[:, None] * mult[None, :]) * model.eps_form.gram
+    positions = model.tensor.positions
+    tensor_mat = model.tensor.weighted
+    gram2 = model.eps_form.weighted
+    products = galerkin.multiset_products
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         a = y[:m]
         R = y[m]
-        mono = np.multiply.reduce(a[mono_pos], axis=1)
+        mono = products(a, positions)
         xa = lam * a + tensor_mat @ mono
         eps_sq = float(mono @ gram2 @ mono)
         eps = math.sqrt(eps_sq) if eps_sq > 0.0 else 0.0
@@ -153,6 +154,36 @@ def _coupled_rhs(model: galerkin.GalerkinModel, linear_factor: float):
     return rhs
 
 
+def _model_for(modes: tuple[int, ...], p: int,
+               model: galerkin.GalerkinModel | None) -> galerkin.GalerkinModel:
+    """The prebuilt model, checked against the mode set and power, or a
+    new one."""
+    if model is None:
+        return galerkin.build_model(modes, p)
+    if model.basis.indices != modes or model.p != p:
+        raise ValueError("prebuilt model does not match the scenario")
+    return model
+
+
+def _coupled_spec(model: galerkin.GalerkinModel, datum: float,
+                  linear_factor: float, horizon: float, rtol: float,
+                  atol: float, blowup_threshold: float) -> ode.IvpSpec:
+    """The (a, R) IVP from a = datum on mode 1, R = 0."""
+    m = len(model.basis.indices)
+    y0 = np.zeros(m + 1)
+    y0[model.basis.indices.index(1)] = datum
+    return ode.IvpSpec(
+        dimension=m + 1,
+        rhs=_coupled_rhs(model, linear_factor),
+        y0=y0,
+        t0=0.0,
+        horizon=horizon,
+        rtol=rtol,
+        atol=atol,
+        blowup_threshold=blowup_threshold,
+    )
+
+
 def assemble_coupled_system(
     scenario: HeatScenario,
     model: galerkin.GalerkinModel | None = None,
@@ -161,23 +192,10 @@ def assemble_coupled_system(
 
     A prebuilt model for the same mode set and power may be passed to
     skip the quadrature assembly (bisection loops reuse it)."""
-    if model is None:
-        model = galerkin.build_model(scenario.modes, scenario.p)
-    else:
-        if model.basis.indices != scenario.modes or model.p != scenario.p:
-            raise ValueError("prebuilt model does not match the scenario")
-    m = len(scenario.modes)
-    y0 = np.zeros(m + 1)
-    y0[scenario.modes.index(1)] = scenario.A
-    spec = ode.IvpSpec(
-        dimension=m + 1,
-        rhs=_coupled_rhs(model, 1.0),
-        y0=y0,
-        t0=0.0,
-        horizon=scenario.horizon,
-        rtol=scenario.rtol,
-        atol=scenario.atol,
-        blowup_threshold=scenario.blowup_threshold,
+    model = _model_for(scenario.modes, scenario.p, model)
+    spec = _coupled_spec(
+        model, scenario.A, 1.0, scenario.horizon, scenario.rtol,
+        scenario.atol, scenario.blowup_threshold,
     )
     return spec, model
 
@@ -316,21 +334,9 @@ def rescaled_system(p: int = 2, modes: Sequence[int] = (1, 3),
     limit, which is amplitude-free."""
     if not inv_amplitude >= 0.0:
         raise ValueError("inv_amplitude must be >= 0")
-    modes = tuple(sorted(int(k) for k in modes))
-    if model is None:
-        model = galerkin.build_model(modes, p)
-    m = len(modes)
-    y0 = np.zeros(m + 1)
-    y0[modes.index(1)] = 1.0
-    spec = ode.IvpSpec(
-        dimension=m + 1,
-        rhs=_coupled_rhs(model, inv_amplitude),
-        y0=y0,
-        t0=0.0,
-        horizon=horizon,
-        rtol=rtol,
-        atol=atol,
-        blowup_threshold=blowup_threshold,
+    model = _model_for(tuple(sorted(int(k) for k in modes)), p, model)
+    spec = _coupled_spec(
+        model, 1.0, inv_amplitude, horizon, rtol, atol, blowup_threshold
     )
     return spec, model
 
@@ -379,25 +385,6 @@ def semigroup_apply_sine_coeffs(coeffs, t: float) -> dict[int, float]:
 # serialization
 
 
-def fmt_float(x: float) -> str:
-    if math.isinf(x):
-        return "inf"
-    return format(x, ".17g")
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_scenario_csv(result: ScenarioResult, path: str) -> None:
     """Sampled trajectory as CSV.
 
@@ -409,31 +396,10 @@ def write_scenario_csv(result: ScenarioResult, path: str) -> None:
     header = ["t", "alpha", "gamma"] + [f"a{k}" for k in extra] + [
         "norm_phi_ap", "R", "ratio"
     ]
-    col_of = {k: i for i, k in enumerate(tr.modes)}
-    lines = [",".join(header)]
-    for i, t in enumerate(tr.times):
-        row = [
-            fmt_float(t),
-            fmt_float(tr.coords[i, col_of[1]]),
-            fmt_float(tr.coords[i, col_of[3]] if 3 in col_of else 0.0),
-        ]
-        row += [fmt_float(tr.coords[i, col_of[k]]) for k in extra]
-        row += [
-            fmt_float(tr.norm_phi[i]),
-            fmt_float(tr.radius[i]),
-            fmt_float(tr.ratio[i]),
-        ]
-        lines.append(",".join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def _ext_pair(name: str, value: float | None) -> dict:
-    """Extended reals in JSON: a null plus an explicit infinity flag."""
-    if value is None:
-        return {name: None, f"{name}_infinite": False}
-    if math.isinf(value):
-        return {name: None, f"{name}_infinite": True}
-    return {name: float(value), f"{name}_infinite": False}
+    columns = [tr.times] + [tr.coordinate(k) for k in (1, 3, *extra)] + [
+        tr.norm_phi, tr.radius, tr.ratio
+    ]
+    write_csv(path, header, zip(*columns))
 
 
 def scenario_record(result: ScenarioResult) -> dict:
@@ -450,10 +416,10 @@ def scenario_record(result: ScenarioResult) -> dict:
         "blowup_threshold": sc.blowup_threshold,
         "outcome": result.outcome_kind,
     }
-    record.update(_ext_pair("t_N", result.t_n))
-    record.update(_ext_pair("t_G", result.t_g))
-    record.update(_ext_pair("t_K", result.t_k))
-    record.update(_ext_pair("eta", result.eta))
+    record.update(ext_pair("t_N", result.t_n))
+    record.update(ext_pair("t_G", result.t_g))
+    record.update(ext_pair("t_K", result.t_k))
+    record.update(ext_pair("eta", result.eta))
     return record
 
 
@@ -469,7 +435,3 @@ def scenario_from_record(record: dict) -> HeatScenario:
         atol=float(record["atol"]),
         blowup_threshold=float(record["blowup_threshold"]),
     )
-
-
-def write_json(record: dict, path: str) -> None:
-    atomic_write_text(path, json.dumps(record, indent=2, sort_keys=True) + "\n")

@@ -115,16 +115,23 @@ def kaplan_time_by_quadrature(q0: float, p: int, tol: float = 1e-10) -> float:
     return value
 
 
-def comparison_rhs(S: float, p: int) -> float:
-    return S**p - S
-
-
-def _comparison_ode(p: int) -> ode.Rhs:
-    """The comparison problem as a one-dimensional IVP right-hand side."""
+def _comparison_spec(q0: float, p: int, horizon: float, rtol: float,
+                     atol: float, blowup_threshold: float = 1e8,
+                     ) -> ode.IvpSpec:
+    """dS/dt = S^p - S from S(0) = q0 as a one-dimensional IVP."""
     def rhs(s: float, y: np.ndarray) -> np.ndarray:
-        return np.array([comparison_rhs(y[0], p)])
+        return np.array([y[0] ** p - y[0]])
 
-    return rhs
+    return ode.IvpSpec(
+        dimension=1,
+        rhs=rhs,
+        y0=np.array([q0]),
+        t0=0.0,
+        horizon=horizon,
+        rtol=rtol,
+        atol=atol,
+        blowup_threshold=blowup_threshold,
+    )
 
 
 def comparison_solution(q0: float, p: int, t: float,
@@ -138,16 +145,7 @@ def comparison_solution(q0: float, p: int, t: float,
         raise OutOfDomainError("comparison solution queried at negative time")
     if t == 0.0:
         return q0
-    spec = ode.IvpSpec(
-        dimension=1,
-        rhs=_comparison_ode(p),
-        y0=np.array([q0]),
-        t0=0.0,
-        horizon=t,
-        rtol=rtol,
-        atol=atol,
-    )
-    outcome = ode.integrate(spec)
+    outcome = ode.integrate(_comparison_spec(q0, p, t, rtol, atol))
     if outcome.kind != ode.REACHED_HORIZON:
         raise OutOfDomainError(
             f"comparison solution escapes at t={outcome.t_end} <= {t}"
@@ -164,17 +162,9 @@ def comparison_blowup_time(q0: float, p: int, horizon: float = 100.0,
         raise NotApplicableError(
             f"the comparison problem escapes only for Q0 > 1, got {q0}"
         )
-    spec = ode.IvpSpec(
-        dimension=1,
-        rhs=_comparison_ode(p),
-        y0=np.array([q0]),
-        t0=0.0,
-        horizon=horizon,
-        rtol=rtol,
-        atol=atol,
-        blowup_threshold=blowup_threshold,
+    outcome = ode.integrate(
+        _comparison_spec(q0, p, horizon, rtol, atol, blowup_threshold)
     )
-    outcome = ode.integrate(spec)
     if outcome.kind != ode.BLOW_UP:
         raise OutOfDomainError("comparison problem did not escape before the horizon")
     return outcome.t_end

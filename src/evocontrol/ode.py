@@ -145,7 +145,7 @@ class IvpStats:
     termination: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IvpOutcome:
     """Result of :func:`integrate`.
 
@@ -158,15 +158,16 @@ class IvpOutcome:
     derivative rows the run appended, and ``states``/``derivs`` stack
     them on first access, cache the array and release the rows.
     ``final_state``, :meth:`max_norm_history` and :meth:`min_history`
-    read the rows as they are, stacked or not.
+    read the rows as they are, stacked or not. Outcomes compare by
+    identity: their fields hold arrays.
     """
 
     kind: str
     t_end: float
     times: np.ndarray
-    rows: dict = field(repr=False, compare=False)
-    spec: IvpSpec = field(repr=False, compare=False)
-    stats: IvpStats = field(compare=False)
+    rows: dict = field(repr=False)
+    spec: IvpSpec = field(repr=False)
+    stats: IvpStats
 
     @cached_property
     def states(self) -> np.ndarray:

@@ -34,6 +34,7 @@ import numpy as np
 from . import galerkin, heat, ode
 from . import quadrature as quad
 from .errors import EvocontrolError
+from .records import SPEC_VERSION
 
 
 @dataclass(frozen=True)
@@ -41,9 +42,9 @@ class FiniteVolterraProblem:
     """Diagonal truncation of the semilinear problem on a mode set.
 
     The semigroup acts mode-wise as e^{-k^2 t}; the nonlinearity is the
-    projected power from a spectral model on the same mode set. The grid,
-    the free evolution and the monomial tables are computed once per
-    problem, on first use, and shared by every :func:`volterra_apply`.
+    projected power from a spectral model on the same mode set. The grid
+    and the free evolution are computed once per problem, on first use,
+    and shared by every :func:`volterra_apply`.
     """
 
     indices: tuple[int, ...]
@@ -88,21 +89,6 @@ class FiniteVolterraProblem:
         decay = np.exp(-self.rates * (self.times - self.t0)[:, None])
         return decay * self.datum
 
-    @cached_property
-    def monomial_positions(self) -> np.ndarray:
-        """Column of each factor of each monomial of the model tensor."""
-        pos = {k: i for i, k in enumerate(self.indices)}
-        return np.array(
-            [[pos[l] for l in L] for L in self.model.tensor.monomials],
-            dtype=int,
-        )
-
-    @cached_property
-    def weighted_tensor(self) -> np.ndarray:
-        """(monomials, modes) map from monomial values to P(psi)."""
-        tensor = self.model.tensor
-        return (tensor.matrix * tensor.multiplicities).T
-
 
 @dataclass(frozen=True)
 class TrajectoryGrid:
@@ -138,8 +124,9 @@ class TrajectoryGrid:
 def nonlinearity_on_grid(problem: FiniteVolterraProblem,
                          coords: np.ndarray) -> np.ndarray:
     """Projected power P(psi)^k at every grid time."""
-    mono = np.prod(coords[:, problem.monomial_positions], axis=2)
-    return mono @ problem.weighted_tensor
+    tensor = problem.model.tensor
+    mono = galerkin.multiset_products(coords, tensor.positions)
+    return mono @ tensor.weighted.T
 
 
 def volterra_apply(problem: FiniteVolterraProblem,
@@ -204,7 +191,7 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return {
-            "spec_version": heat.SPEC_VERSION,
+            "spec_version": SPEC_VERSION,
             "kind": "picard_verification",
             "k_max": self.k_max,
             "verification_modes": list(self.indices),

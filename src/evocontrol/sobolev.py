@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from . import heat
 from . import quadrature as qd
+from .records import SPEC_VERSION
 
 _SERIES_SWITCH = 0.2
 _SERIES_TERMS = 28
@@ -36,13 +36,6 @@ _BLOCK = 1024  # trials per array block of algebra_property_test
 
 # ---------------------------------------------------------------------------
 # the kink family: closed forms
-
-
-def family_values(lam: float, x: np.ndarray) -> np.ndarray:
-    """f_lam on (0, pi), evaluated stably for every lam > 0."""
-    c = math.exp(-lam * math.pi / 2.0)
-    v = math.pi / 2.0 - np.abs(np.asarray(x) - math.pi / 2.0)
-    return c * np.expm1(lam * v)
 
 
 def _exp_binom_integral(j: int, m: int, lam: float) -> float:
@@ -213,7 +206,7 @@ class AlgebraReport:
 
     def to_dict(self) -> dict:
         return {
-            "spec_version": heat.SPEC_VERSION,
+            "spec_version": SPEC_VERSION,
             "kind": "algebra_property",
             "seed": self.seed,
             "trials": self.trials,
@@ -326,7 +319,7 @@ def sobolev_report(seed: int = 0, trials: int = 10_000) -> dict:
         for k in (0, 1, 3, 10)
     }
     return {
-        "spec_version": heat.SPEC_VERSION,
+        "spec_version": SPEC_VERSION,
         "kind": "sobolev_bounds",
         "lambda_star": lam_star,
         "ratio_star": ratio_star,

@@ -2,7 +2,7 @@
 
 import json
 
-from evocontrol import cli, heat, sobolev
+from evocontrol import cli, fd, heat, sobolev
 
 
 def _run(argv):
@@ -135,6 +135,34 @@ def test_fd_subcommand_with_profile(tmp_path):
     assert record["profile_deviation"] <= 0.05
     assert (tmp_path / "fig_profile.csv").exists()
     assert (tmp_path / "fd_norms.csv").exists()
+
+
+def test_fd_profile_needs_the_quadratic_power(tmp_path, capsys):
+    # the closed-form limit profile exists only for p=2
+    code = _run([
+        "fd", "--A", "100", "--p", "3", "--profile-time", "0.5",
+        "--out", str(tmp_path),
+    ])
+    assert code == cli.EXIT_USAGE
+    assert "--profile-time" in capsys.readouterr().err
+    assert not (tmp_path / "fd.json").exists()
+
+
+def test_fd_profile_uses_the_run_tolerances(tmp_path, monkeypatch):
+    seen = []
+
+    def check(A, tau, N=256, rtol=1e-8, atol=1e-10):
+        seen.append((A, tau, N, rtol, atol))
+        return 0.0
+
+    monkeypatch.setattr(fd, "limit_profile_check", check)
+    code = _run([
+        "fd", "--A", "100", "--N", "64", "--horizon", "2",
+        "--rtol", "1e-7", "--atol", "1e-9", "--profile-time", "0.5",
+        "--out", str(tmp_path),
+    ])
+    assert code == cli.EXIT_OK
+    assert seen == [(100.0, 0.5, 64, 1e-7, 1e-9)]
 
 
 def test_wave_subcommand(tmp_path):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from evocontrol import galerkin as gk
+from evocontrol import heat, picard
 from evocontrol import quadrature as qd
 
 _SQ = math.sqrt(2.0 / math.pi**3)
@@ -146,3 +147,109 @@ def test_basis_validation():
     assert basis.indices == (1, 3)
     a = np.array([1.0, 2.0])
     assert abs(basis.norm(a) - math.sqrt(2.0 + 40.0)) <= 1e-15
+
+
+def _ordered_tuple_reference(indices, p, a):
+    """X(a) and eps_hat(a)^2 as sums over ordered index tuples, from sine
+    products sampled on nodes of their own: no monomial table, no
+    multiplicities."""
+    x, w = qd.nodes(4 * p * max(indices))
+    S = np.array([qd.sine_values(k, x) for k in indices])
+    D = np.array([qd.sine_derivs(k, x) for k in indices])
+    tuples = list(itertools.product(range(len(indices)), repeat=p))
+    vals = np.array([np.prod(S[list(t)], axis=0) for t in tuples])
+    ders = np.array([
+        sum(D[t[i]] * np.prod(S[list(t[:i] + t[i + 1:])], axis=0)
+            for i in range(p))
+        for t in tuples
+    ])
+    coef = np.array([math.prod(a[list(t)]) for t in tuples])
+    f, df = coef @ vals, coef @ ders  # phi^p and its derivative
+    c = (S * w) @ f  # L2 projection of phi^p onto the span
+    k = np.asarray(indices, dtype=float)
+    field = -k * k * a + c
+    rv, rd = f - c @ S, df - c @ D
+    return field, qd.h1_inner(rv, rd, rv, rd, w)
+
+
+def test_cubic_kernel_matches_ordered_tuple_sums():
+    indices = (1, 2, 3)
+    model = gk.build_model(indices, 3)
+    assert sorted(set(model.tensor.multiplicities)) == [1.0, 3.0, 6.0]
+    rng = np.random.default_rng(5)
+    coords = rng.uniform(-1.5, 1.5, size=(40, 3))
+    many = model.eps_form.value_many(coords, indices)
+    for a, eps_sq in zip(coords, many):
+        field, ref_sq = _ordered_tuple_reference(indices, 3, a)
+        got = gk.vector_field(model, a)
+        assert np.max(np.abs(got - field)) <= 1e-13 * np.max(np.abs(field))
+        assert abs(eps_sq - ref_sq) <= 1e-13 * ref_sq
+        assert abs(gk.epsilon_hat(model, a) ** 2 - ref_sq) <= 1e-13 * ref_sq
+
+
+def test_every_kernel_path_agrees_at_p2():
+    model = gk.build_model((1, 3), 2)
+    coords = np.random.default_rng(11).uniform(-3.0, 3.0, size=(257, 2))
+    rhs = heat._coupled_rhs(model, 1.0)
+    # R = 0: the last component of the (a, R) field is eps_hat itself
+    out = np.array([rhs(0.0, np.append(a, 0.0)) for a in coords])
+    field = np.array([gk.vector_field(model, a) for a in coords])
+    eps = np.array([gk.epsilon_hat(model, a) for a in coords])
+    assert np.array_equal(field, out[:, :2])
+    assert np.array_equal(eps, out[:, 2])
+    # the array paths sum in another order (one einsum over the form,
+    # one matrix product over all rows), so they agree to a few ulps
+    many = np.sqrt(model.eps_form.value_many(coords, (1, 3)))
+    assert np.max(np.abs(many - eps) / eps) <= 1e-14
+    problem = picard.FiniteVolterraProblem(
+        indices=(1, 3), p=2, datum=np.zeros(2), t0=0.0, t1=1.0, model=model
+    )
+    grid = model.basis.eigenvalues * coords + picard.nonlinearity_on_grid(
+        problem, coords
+    )
+    assert np.max(np.abs(grid - field)) <= 1e-14 * np.max(np.abs(field))
+
+
+@pytest.mark.parametrize("m", [2, 5, 8])
+def test_folded_form_keeps_the_bits_of_the_weighted_form(m):
+    # multiplicities 1 and 2 at p=2 scale exactly, so folding them into
+    # the Gram matrix leaves every value_many bit unchanged
+    indices = tuple(range(1, m + 1))
+    model = gk.build_model(indices, 2)
+    form = model.eps_form
+    coords = np.random.default_rng(m).uniform(-2.0, 2.0, size=(2049, m))
+    V = np.column_stack([
+        coords[:, l1 - 1] * coords[:, l2 - 1] for l1, l2 in form.monomials
+    ]) * form.multiplicities
+    weighted = np.einsum("ij,jk,ik->i", V, form.gram, V)
+    assert np.array_equal(form.value_many(coords, indices), weighted)
+
+
+def test_value_many_rejects_a_foreign_column_order():
+    model = gk.build_model((1, 3), 2)
+    with pytest.raises(ValueError):
+        model.eps_form.value_many(np.ones((4, 2)), (3, 1))
+
+
+def test_node_products_keep_the_bits_of_the_factor_loop():
+    # reference: multiply the sampled factors one at a time, in order,
+    # and each derivative term as s_{l_i}' times the other factors
+    indices, p = (1, 2, 3), 3
+    x, _ = qd.nodes(2 * p * max(indices))
+    SV = np.array([qd.sine_values(k, x) for k in indices])
+    SD = np.array([qd.sine_derivs(k, x) for k in indices])
+    tuples = list(itertools.combinations_with_replacement(range(3), p))
+    PV, PD = gk._products_on_nodes(SV, SD, np.array(tuples))
+    for row, t in enumerate(tuples):
+        prod = np.ones_like(x)
+        for l in t:
+            prod = prod * SV[l]
+        dprod = np.zeros_like(x)
+        for i in range(p):
+            term = SD[t[i]].copy()
+            for j in range(p):
+                if j != i:
+                    term = term * SV[t[j]]
+            dprod += term
+        assert np.array_equal(PV[row], prod)
+        assert np.array_equal(PD[row], dprod)

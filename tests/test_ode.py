@@ -110,6 +110,15 @@ def test_bitwise_determinism():
     assert a.states.tobytes() == b.states.tobytes()
 
 
+def test_outcomes_compare_to_a_bool():
+    # the fields hold arrays, so an element-wise == must not decide it
+    a = ode.integrate(_decay_spec())
+    b = ode.integrate(_decay_spec())
+    assert (a == b) is False
+    assert (a == a) is True
+    assert (a != b) is True
+
+
 def test_interpolation_matches_known_solution():
     # dense output is cubic Hermite, one order below the advancing
     # solution, so it gets a looser budget than the endpoint values

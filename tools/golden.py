@@ -24,6 +24,8 @@ RUNS = {
     "kaplan": ["kaplan", "--A", "4", "--A", "10"],
     "fd": ["fd", "--A", "100", "--profile-time", "0.5"],
     "picard": ["picard", "--A", "1", "--horizon", "2"],
+    "wave": ["wave"],
+    "sobolev": ["sobolev", "--trials", "2000", "--seed", "0"],
 }
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
