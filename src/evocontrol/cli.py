@@ -38,6 +38,8 @@ def _parse_modes(text: str) -> tuple[int, ...]:
         )
     if not modes or any(k < 1 for k in modes):
         raise argparse.ArgumentTypeError("modes must be integers >= 1")
+    if len(set(modes)) != len(modes):
+        raise argparse.ArgumentTypeError("modes must be distinct")
     return modes
 
 

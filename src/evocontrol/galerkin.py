@@ -8,25 +8,26 @@ and are eigenfunctions of the Laplacian with eigenvalue ``-k^2``.
 For a mode set I and integer power p, the reduced dynamics on
 coordinates ``a = (a^k)`` is
 
-    da^k/dt = -k^2 a^k + sum_L mult(L) T^k_L a^L,
+    da^k/dt = -k^2 a^k + c^k(a),      c^k(a) = <s_k | phi^p>_{L2},
 
-with ``T^k_L = <s_k | prod_{l in L} s_l>_{L2}`` summed over size-p
-multisets L of I. Alongside the vector field the module assembles the
-exact residual norm of the reduced trajectory: eps_hat(a) is the
-distance (in the ambient norm) between the flow of the reduced field and
-the full right-hand side evaluated on the reduced state. Its square is a
-homogeneous degree-2p polynomial in the coordinates, stored as a Gram
-matrix over size-p multiset monomials, which keeps it nonnegative up to
-roundoff by construction.
+where ``phi = sum_k a^k s_k`` is the span element. Alongside the vector
+field the module evaluates the exact residual norm of the reduced
+trajectory: eps_hat(a) is the distance (in the ambient norm) between the
+flow of the reduced field and the full right-hand side evaluated on the
+reduced state, i.e. the ambient norm of ``phi^p - sum_k c^k s_k``.
 
-All pairings are evaluated with the exact-degree quadrature from
-:mod:`evocontrol.quadrature`.
+Both come from one kernel, :func:`project_power`, which samples phi and
+phi' on Gauss nodes and returns the projection c together with the
+samples of phi^p; eps_hat is the weighted root sum of squares of what
+the projection misses (:func:`missed_sq`), a norm and never negative.
+Many-row evaluations run through :func:`project_rows` a block at a
+time. The nodes are exact for every integrand involved (trigonometric
+degree at most 2 p max(I)); see :mod:`evocontrol.quadrature`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Mapping, Sequence
@@ -35,6 +36,10 @@ import numpy as np
 
 from . import quadrature as quad
 from .control import PolynomialGrowth
+
+# bytes of node samples per block of project_rows: blocks this small are
+# recycled by the allocator instead of being mapped and faulted in afresh
+_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -67,147 +72,114 @@ class GalerkinBasis:
         return float(np.sqrt(np.dot(self.metric_diag, a * a)))
 
 
-def multiset_products(a: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """The size-p monomials ``prod_{l in L} a^l`` of coordinate arrays of
-    shape (..., m), one per row of ``positions`` (the coordinate column
-    of each factor of L); the result has shape (..., len(positions)).
-
-    This is the package's one monomial kernel: the reduced field, the
-    residual form, the (a, R) right-hand side and the Picard
-    nonlinearity all evaluate through it. A single state skips the
-    ellipsis index, which would double the cost of the gather.
-    """
-    factors = a[positions] if a.ndim == 1 else a[..., positions]
-    return np.multiply.reduce(factors, axis=-1)
-
-
-@dataclass(frozen=True)
-class NonlinearTensor:
-    """Symmetric coefficients of the projected power nonlinearity.
-
-    Column j of ``matrix`` holds ``<s_k | prod s_L>_{L2}`` for the j-th
-    sorted size-p tuple L of ``monomials``, whose factors sit in the
-    coordinate columns ``positions[j]``; ``multiplicities`` holds the
-    multinomial count of each multiset, and ``weighted`` is
-    ``matrix * multiplicities``, so that the contraction over ordered
-    tuples is ``weighted @ multiset_products(a, positions)``.
-    """
-
-    p: int
-    monomials: tuple[tuple[int, ...], ...]
-    multiplicities: np.ndarray
-    matrix: np.ndarray  # shape (len(indices), len(monomials))
-    positions: np.ndarray = field(repr=False)  # shape (len(monomials), p)
-    weighted: np.ndarray = field(repr=False)
-
-
 @dataclass(frozen=True)
 class EpsilonForm:
-    """Homogeneous degree-2p residual form as a Gram matrix over monomials;
-    ``weighted`` folds the multiplicities of both sides into ``gram``."""
+    """The modes sampled on the model's Gauss nodes, laid out for
+    :func:`project_power`.
+
+    With SV and SD the values and derivatives of the modes on the n
+    nodes and w the weights: ``samples`` is [SV | SD], ``doubled`` is
+    [SV | SV] and ``residual_basis`` is [SV | SD/p], each of shape
+    (m, 2n); ``projector`` is (SV w)^T, of shape (n, m); ``weights`` is
+    [w | p^2 w], so the weighted square sum of a row of samples (values,
+    then derivatives divided by p) is its squared ambient norm.
+    """
 
     p: int
-    monomials: tuple[tuple[int, ...], ...]
-    multiplicities: np.ndarray
-    gram: np.ndarray
-    positions: np.ndarray = field(repr=False)
-    weighted: np.ndarray = field(repr=False)
+    indices: tuple[int, ...]
+    samples: np.ndarray = field(repr=False)
+    doubled: np.ndarray = field(repr=False)
+    projector: np.ndarray = field(repr=False)
+    residual_basis: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
 
     def value_many(self, coords: np.ndarray, indices: Sequence[int]) -> np.ndarray:
-        """Vectorized form evaluation for rows of ``coords`` (one
-        coordinate vector per row, ordered like ``indices``, which must
-        be the model's ascending mode order)."""
-        factors = np.asarray(indices)[self.positions]
-        if not np.array_equal(factors, self.monomials):
+        """eps_hat^2 for rows of ``coords`` (one coordinate vector per
+        row, ordered like ``indices``, which must be the model's
+        ascending mode order)."""
+        if tuple(int(k) for k in indices) != self.indices:
             raise ValueError("columns do not follow the model's mode order")
-        mono = multiset_products(coords, self.positions)
-        return np.einsum("ij,jk,ik->i", mono, self.weighted, mono)
+        out = np.empty(len(coords))
+        for rows, c, power in project_rows(self, coords):
+            out[rows] = missed_sq(self, power, c)
+        return out
 
 
 @dataclass(frozen=True)
 class GalerkinModel:
     basis: GalerkinBasis
     p: int
-    tensor: NonlinearTensor
     eps_form: EpsilonForm = field(repr=False)
 
 
-def _multiplicity(L: tuple[int, ...]) -> int:
-    p = len(L)
-    m = math.factorial(p)
-    for c in Counter(L).values():
-        m //= math.factorial(c)
-    return m
+def project_power(form: EpsilonForm, a: np.ndarray):
+    """The L2 projection c of phi^p onto the span, and the samples of
+    phi^p on the nodes (values, then derivatives divided by p), for the
+    span element phi with coordinates ``a`` of shape (m,) or (N, m).
+
+    This is the package's one Galerkin kernel: the reduced field, the
+    residual norm, the (a, R) right-hand side and the Picard
+    nonlinearity all evaluate through it.
+    """
+    power = a.dot(form.samples)  # phi and phi' on the nodes
+    for _ in range(form.p - 1):  # phi^p and phi^(p-1) phi' = (phi^p)'/p
+        power *= a.dot(form.doubled)
+    return power[..., :len(form.projector)].dot(form.projector), power
 
 
-def _products_on_nodes(SV: np.ndarray, SD: np.ndarray,
-                       positions: np.ndarray):
-    """Values and derivatives of prod_{l in L} s_l on the nodes, one row
-    per row of ``positions``, from the mode samples SV and SD. Term i of
-    the derivative multiplies s_{l_i}' by the other factors in order."""
-    vals = SV[positions]  # (monomials, p, nodes)
-    dprod = np.zeros_like(vals[:, 0])
-    for i in range(positions.shape[1]):
-        factors = [SD[positions[:, i : i + 1]], np.delete(vals, i, axis=1)]
-        dprod += np.multiply.reduce(np.concatenate(factors, axis=1), axis=1)
-    return np.multiply.reduce(vals, axis=1), dprod
+def project_rows(form: EpsilonForm, coords: np.ndarray):
+    """:func:`project_power` over the rows of ``coords``, a block of
+    rows at a time: yields (rows, c, power) per block, so the node
+    samples of a many-row evaluation stay small."""
+    coords = np.asarray(coords, dtype=float)
+    step = max(1, _BLOCK_BYTES // form.samples[0].nbytes)
+    for start in range(0, len(coords), step):
+        rows = slice(start, start + step)
+        yield (rows, *project_power(form, coords[rows]))
+
+
+def missed_sq(form: EpsilonForm, power: np.ndarray, u: np.ndarray):
+    """Squared ambient norm of phi^p - sum_k u_k s_k, from the samples
+    ``power`` of phi^p that :func:`project_power` returns; with u the
+    projection c it is eps_hat^2. A sum of squares, never negative."""
+    residual = power - u.dot(form.residual_basis)
+    return (residual * residual).dot(form.weights)
 
 
 def build_model(indices: Sequence[int], p: int) -> GalerkinModel:
-    """Assemble the reduced vector field and residual form for a mode set."""
+    """Sample the modes of a mode set on the Gauss nodes of its model."""
     basis = GalerkinBasis(tuple(indices))
     if not (isinstance(p, (int, np.integer)) and p >= 2):
         raise ValueError("p must be an integer >= 2")
     idx = basis.indices
-    kmax = max(idx)
-    monomials = tuple(combinations_with_replacement(idx, p))
-    mult = np.array([_multiplicity(L) for L in monomials], dtype=float)
-    positions = np.searchsorted(idx, monomials)
-
-    x, w = quad.nodes(2 * p * kmax)
+    x, w = quad.nodes(2 * p * max(idx))
     SV = np.array([quad.sine_values(k, x) for k in idx])
     SD = np.array([quad.sine_derivs(k, x) for k in idx])
-    PV, PD = _products_on_nodes(SV, SD, positions)
-    # L2 pairings of each mode against each monomial product
-    P = (SV * w) @ PV.T
-    # ambient Gram matrix of the monomial products
-    G = (PV * w) @ PV.T + (PD * w) @ PD.T
-    weights = basis.metric_diag
-    gram = G - P.T @ (weights[:, None] * P)
-    gram = 0.5 * (gram + gram.T)
-
-    tensor = NonlinearTensor(
-        p=p, monomials=monomials, multiplicities=mult, matrix=P,
-        positions=positions, weighted=P * mult,
-    )
     eps_form = EpsilonForm(
-        p=p, monomials=monomials, multiplicities=mult, gram=gram,
-        positions=positions, weighted=(mult[:, None] * mult[None, :]) * gram,
+        p=p, indices=idx, samples=np.hstack([SV, SD]),
+        doubled=np.hstack([SV, SV]), projector=(SV * w).T,
+        residual_basis=np.hstack([SV, SD / p]),
+        weights=np.concatenate([w, (p * p) * w]),
     )
-    return GalerkinModel(basis=basis, p=p, tensor=tensor, eps_form=eps_form)
+    return GalerkinModel(basis=basis, p=p, eps_form=eps_form)
 
 
 def vector_field(model: GalerkinModel, a: np.ndarray) -> np.ndarray:
     """Reduced right-hand side X(a): diagonal decay plus the projected power."""
     a = np.asarray(a, dtype=float)
-    tensor = model.tensor
-    mono = multiset_products(a, tensor.positions)
-    return model.basis.eigenvalues * a + tensor.weighted @ mono
+    c, _ = project_power(model.eps_form, a)
+    return model.basis.eigenvalues * a + c
 
 
-def epsilon_sq(model: GalerkinModel, a: np.ndarray) -> float:
+def epsilon_hat(model: GalerkinModel, a: np.ndarray) -> float:
+    """Residual norm of the reduced state: the ambient norm of the part
+    of phi^p that the span misses, from its samples on the nodes."""
     a = np.asarray(a, dtype=float)
     if a.shape != (len(model.basis.indices),):
         raise ValueError(f"expected one coordinate per mode, got {a.shape}")
     form = model.eps_form
-    mono = multiset_products(a, form.positions)
-    return float(mono @ form.weighted @ mono)
-
-
-def epsilon_hat(model: GalerkinModel, a: np.ndarray) -> float:
-    """Residual norm of the reduced state; clipped at zero since the
-    assembled quadratic form can dip to -O(roundoff)."""
-    return math.sqrt(max(0.0, epsilon_sq(model, a)))
+    c, power = project_power(form, a)
+    return math.sqrt(missed_sq(form, power, c))
 
 
 def growth_estimator(model: GalerkinModel, a: np.ndarray) -> PolynomialGrowth:
@@ -250,17 +222,23 @@ def residual_norm(model: GalerkinModel, a: np.ndarray, v: np.ndarray) -> float:
     """
     a = np.asarray(a, dtype=float)
     v = np.asarray(v, dtype=float)
-    idx = model.basis.indices
-    kmax = max(idx)
-    x, w = quad.nodes(2 * model.p * kmax)
-    SV = np.array([quad.sine_values(k, x) for k in idx])
-    SD = np.array([quad.sine_derivs(k, x) for k in idx])
-    phi = a @ SV
-    dphi = a @ SD
-    lam = model.basis.eigenvalues
-    vals = (lam * a) @ SV + phi**model.p - v @ SV
-    ders = (lam * a) @ SD + model.p * phi ** (model.p - 1) * dphi - v @ SD
-    return math.sqrt(quad.h1_inner(vals, ders, vals, ders, w))
+    form = model.eps_form
+    _, power = project_power(form, a)
+    # Lap(phi) = sum_k lam_k a_k s_k lies in the span
+    return math.sqrt(missed_sq(form, power, v - model.basis.eigenvalues * a))
+
+
+def _products_on_nodes(SV: np.ndarray, SD: np.ndarray,
+                       positions: np.ndarray):
+    """Values and derivatives of prod_{l in L} s_l on the nodes, one row
+    per row of ``positions``, from the mode samples SV and SD. Term i of
+    the derivative multiplies s_{l_i}' by the other factors in order."""
+    vals = SV[positions]  # (monomials, p, nodes)
+    dprod = np.zeros_like(vals[:, 0])
+    for i in range(positions.shape[1]):
+        factors = [SD[positions[:, i : i + 1]], np.delete(vals, i, axis=1)]
+        dprod += np.multiply.reduce(np.concatenate(factors, axis=1), axis=1)
+    return np.multiply.reduce(vals, axis=1), dprod
 
 
 def eigen_invariance_defect(indices: Sequence[int], p: int) -> tuple[float, float]:

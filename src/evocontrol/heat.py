@@ -70,6 +70,13 @@ def basic_bounds(A: float, p: int = 2) -> BasicBounds:
     )
 
 
+def _datum_column(modes: tuple[int, ...]) -> int:
+    """Position of mode 1, which carries the datum A s_1."""
+    if 1 not in modes:
+        raise ValueError("mode 1 must belong to the mode set")
+    return modes.index(1)
+
+
 @dataclass(frozen=True)
 class HeatScenario:
     A: float
@@ -86,8 +93,7 @@ class HeatScenario:
         if not (isinstance(self.p, (int, np.integer)) and self.p >= 2):
             raise ValueError("p must be an integer >= 2")
         modes = tuple(sorted(int(k) for k in self.modes))
-        if 1 not in modes:
-            raise ValueError("mode 1 must belong to the mode set")
+        _datum_column(modes)
         object.__setattr__(self, "modes", modes)
         if not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
@@ -132,23 +138,20 @@ def _coupled_rhs(model: galerkin.GalerkinModel, linear_factor: float):
     p = model.p
     lam = linear_factor * basis.eigenvalues
     metric = basis.metric_diag
-    positions = model.tensor.positions
-    tensor_mat = model.tensor.weighted
-    gram2 = model.eps_form.weighted
-    products = galerkin.multiset_products
+    form = model.eps_form
+    project = galerkin.project_power
+    missed_sq = galerkin.missed_sq
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         a = y[:m]
         R = y[m]
-        mono = products(a, positions)
-        xa = lam * a + tensor_mat @ mono
-        eps_sq = float(mono @ gram2 @ mono)
-        eps = math.sqrt(eps_sq) if eps_sq > 0.0 else 0.0
+        c, power = project(form, a)
         norm = math.sqrt(float(metric @ (a * a)))
         ell = (norm + R) ** p - norm**p if R > 0.0 else 0.0
         out = np.empty(m + 1)
-        out[:m] = xa
-        out[m] = eps + ell - linear_factor * R
+        out[:m] = lam * a + c
+        out[m] = (math.sqrt(missed_sq(form, power, c)) + ell
+                  - linear_factor * R)
         return out
 
     return rhs
@@ -171,7 +174,7 @@ def _coupled_spec(model: galerkin.GalerkinModel, datum: float,
     """The (a, R) IVP from a = datum on mode 1, R = 0."""
     m = len(model.basis.indices)
     y0 = np.zeros(m + 1)
-    y0[model.basis.indices.index(1)] = datum
+    y0[_datum_column(model.basis.indices)] = datum
     return ode.IvpSpec(
         dimension=m + 1,
         rhs=_coupled_rhs(model, linear_factor),

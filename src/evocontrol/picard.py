@@ -124,9 +124,10 @@ class TrajectoryGrid:
 def nonlinearity_on_grid(problem: FiniteVolterraProblem,
                          coords: np.ndarray) -> np.ndarray:
     """Projected power P(psi)^k at every grid time."""
-    tensor = problem.model.tensor
-    mono = galerkin.multiset_products(coords, tensor.positions)
-    return mono @ tensor.weighted.T
+    out = np.empty_like(coords)
+    for rows, c, _ in galerkin.project_rows(problem.model.eps_form, coords):
+        out[rows] = c
+    return out
 
 
 def volterra_apply(problem: FiniteVolterraProblem,
@@ -361,9 +362,7 @@ def verify_heat_scenario(A: float, t1: float, p: int = 2,
     m = len(scenario.modes)
     coords_small = states[:, :m]
     radius = states[:, m]
-    eps_values = np.sqrt(
-        np.maximum(0.0, model.eps_form.value_many(coords_small, scenario.modes))
-    )
+    eps_values = np.sqrt(model.eps_form.value_many(coords_small, scenario.modes))
 
     col_of = {k: i for i, k in enumerate(ver_indices)}
     coords = np.zeros((len(times), len(ver_indices)))

@@ -170,25 +170,33 @@ def test_criterion_06_two_mode_constants():
         (0, 4): 39.0 / (2.0 * pi) - 3247616.0 / (99225.0 * pi**3),
     }
     model = galerkin.build_model((1, 3), 2)
-    tensor = model.tensor
-    worst = 0.0
-    for (row, mono), expected in field_expected.items():
-        col = tensor.monomials.index(mono)
-        got = tensor.multiplicities[col] * tensor.matrix[row, col]
-        worst = max(worst, abs(got - expected))
-    form = model.eps_form
-    mult = form.multiplicities
-    G = (mult[:, None] * mult[None, :]) * form.gram
-    i11 = form.monomials.index((1, 1))
-    i13 = form.monomials.index((1, 3))
-    i33 = form.monomials.index((3, 3))
-    residual_got = {
-        (4, 0): G[i11, i11],
-        (3, 1): 2.0 * G[i11, i13],
-        (2, 2): 2.0 * G[i11, i33] + G[i13, i13],
-        (1, 3): 2.0 * G[i13, i33],
-        (0, 4): G[i33, i33],
+    lam = model.basis.eigenvalues
+
+    def power(a1, a3):  # the projected power: the field without lam * a
+        a = np.array([a1, a3])
+        return galerkin.vector_field(model, a) - lam * a
+
+    mixed = (power(1.0, 1.0) - power(1.0, -1.0)) / 2.0
+    field_got = {
+        (row, mono): value
+        for mono, values in (((1, 1), power(1.0, 0.0)), ((1, 3), mixed),
+                             ((3, 3), power(0.0, 1.0)))
+        for row, value in enumerate(values)
     }
+    worst = max(abs(field_got[key] - expected)
+                for key, expected in field_expected.items())
+
+    def eps_sq(a1, a3):
+        return galerkin.epsilon_hat(model, np.array([a1, a3])) ** 2
+
+    # even and odd parts of t -> eps_sq(1, t) at t = 1, 2
+    c40, c04 = eps_sq(1.0, 0.0), eps_sq(0.0, 1.0)
+    odd1 = (eps_sq(1.0, 1.0) - eps_sq(1.0, -1.0)) / 2.0
+    odd2 = (eps_sq(1.0, 2.0) - eps_sq(1.0, -2.0)) / 2.0
+    even1 = (eps_sq(1.0, 1.0) + eps_sq(1.0, -1.0)) / 2.0
+    c13 = (odd2 - 2.0 * odd1) / 6.0
+    residual_got = {(4, 0): c40, (3, 1): odd1 - c13,
+                    (2, 2): even1 - c40 - c04, (1, 3): c13, (0, 4): c04}
     for key, expected in residual_expected.items():
         worst = max(worst, abs(residual_got[key] - expected))
     # the distance-growth display pins down the remaining structure

@@ -62,6 +62,17 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_duplicate_modes_exit_2(capsys):
+    assert _run(["table", "--modes", "1,1"]) == cli.EXIT_USAGE
+    assert "distinct" in capsys.readouterr().err
+
+
+def test_limit_without_mode_1_names_the_missing_mode(tmp_path, capsys):
+    code = _run(["limit", "--modes", "3,5", "--out", str(tmp_path)])
+    assert code == cli.EXIT_NUMERIC
+    assert "mode 1 must belong to the mode set" in capsys.readouterr().err
+
+
 def test_help_exits_0(capsys):
     assert _run(["--help"]) == 0
     capsys.readouterr()

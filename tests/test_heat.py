@@ -128,3 +128,11 @@ def test_scenario_validation():
         heat.HeatScenario(A=1.0, modes=(2, 3))
     with pytest.raises(ValueError):
         heat.HeatScenario(A=1.0, p=1)
+
+
+def test_every_coupled_ivp_requires_the_ground_mode():
+    # the datum sits on mode 1, so every builder names it when it is missing
+    with pytest.raises(ValueError, match="mode 1 must belong"):
+        heat.rescaled_system(modes=(3, 5))
+    with pytest.raises(ValueError, match="mode 1 must belong"):
+        heat.HeatScenario(A=1.0, modes=(3, 5))

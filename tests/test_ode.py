@@ -357,17 +357,19 @@ def _run_digest(monkeypatch, fn):
     return value, outcomes, digest.hexdigest()
 
 
-# Bits of four runs as the stepping core produced them before its lean
-# rewrite (numpy 2.4 with OpenBLAS on x86-64; another BLAS may round the
-# stage combinations differently). The digests cover times, states and
-# derivatives of every integration each run makes.
+# Bits of four runs (numpy 2.4 with OpenBLAS on x86-64; another BLAS may
+# round the stage combinations and the node sums differently). The kaplan
+# and fd runs keep the bits the stepping core produced before its lean
+# rewrite; the two coupled (a, R) runs are pinned at the Galerkin node
+# kernel. The digests cover times, states and derivatives of every
+# integration each run makes.
 def test_pinned_bits_coupled_scenario(monkeypatch):
     result, outcomes, digest = _run_digest(
         monkeypatch, lambda: heat.run_scenario(heat.HeatScenario(A=2.0)))
-    assert result.t_g.hex() == "0x1.8bd3eac380de3p-1"
+    assert result.t_g.hex() == "0x1.8bd3eac380e18p-1"
     assert len(outcomes[0].times) == 746
     assert digest == (
-        "99b03947138201252d378f9436fe5489f8bae2133dc803e0bcad6acfd5777dbc")
+        "260636f3ca12c3210978a8dd4f4fc17b06c4a0894721c60e564563e74ab9bd14")
 
 
 def test_pinned_bits_kaplan_comparison(monkeypatch):
@@ -394,4 +396,4 @@ def test_pinned_bits_critical_amplitude(monkeypatch):
     assert len(outcomes) == 14
     assert sum(len(o.times) for o in outcomes) == 11000
     assert digest == (
-        "e0bef934ef5efd0ad3db0430fafb20035fb592cfcc82fd9a50ff4d1653ee8468")
+        "ba6b398942a00d386dcf4d89d5483f4b96af2ace9e205ce8e442f5b14a1db7b1")

@@ -48,6 +48,34 @@ def test_verification_memory_stays_linear_in_the_grid():
     assert peak < 8e6
 
 
+def test_many_mode_nonlinearity_is_small_and_matches_the_tensor():
+    # the default verification set of the first 24 odd modes: 1..96
+    indices = picard.default_verification_modes(tuple(range(1, 48, 2)))
+    assert indices == tuple(range(1, 97))
+    problem = picard.FiniteVolterraProblem(
+        indices=indices, p=2, datum=np.zeros(96), t0=0.0, t1=1.0
+    )
+    k = np.asarray(indices, dtype=float)
+    rng = np.random.default_rng(96)
+    coords = rng.uniform(-1.0, 1.0, size=(2049, 96)) / k
+    tracemalloc.start()
+    try:
+        got = picard.nonlinearity_on_grid(problem, coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+    # reference: the dense tensor T[k, i, j] = <s_k | s_i s_j>_{L2} on the
+    # model's nodes, contracted with the coordinates on both sides
+    x, w = qd.nodes(2 * 2 * 96)
+    S = np.array([qd.sine_values(j, x) for j in indices])
+    ref = np.empty_like(got)
+    for row, s_k in enumerate(S):
+        T = (S * (w * s_k)) @ S.T
+        ref[:, row] = np.sum((coords @ T) * coords, axis=1)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_volterra_on_zero_trajectory_is_pure_decay():
     problem = picard.FiniteVolterraProblem(
         indices=(1, 2, 3), p=2, datum=np.array([1.0, 0.5, -0.2]),

@@ -19,6 +19,10 @@ import sys
 RUNS = {
     "table": ["table"],
     "scenario": ["scenario", "--A", "4"],
+    # twelve modes: where the node kernel and a Gram form over degree-p
+    # monomials differ the most
+    "scenario_many": ["scenario", "--A", "10", "--modes",
+                      ",".join(str(k) for k in range(1, 24, 2))],
     "critical": ["critical"],
     "limit": ["limit"],
     "kaplan": ["kaplan", "--A", "4", "--A", "10"],
