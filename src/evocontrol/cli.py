@@ -43,12 +43,15 @@ def _parse_modes(text: str) -> tuple[int, ...]:
     return modes
 
 
-def _add_common(sp, *, amplitudes=False, tolerances=False, modes=False,
+def _add_common(sp, *, amplitudes=None, tolerances=False, modes=False,
                 horizon=None, seed=False):
+    """``amplitudes`` is "one" or "many", the number of --A a
+    subcommand accepts."""
     if amplitudes:
         sp.add_argument(
             "--A", action="append", type=float, dest="amplitudes",
-            metavar="A", help="amplitude (repeatable)",
+            metavar="A", help="amplitude" + (
+                " (repeatable)" if amplitudes == "many" else ""),
         )
     if modes:
         sp.add_argument(
@@ -73,6 +76,15 @@ def _add_common(sp, *, amplitudes=False, tolerances=False, modes=False,
     sp.add_argument(
         "--out", default=".", help="output directory (default current)"
     )
+
+
+def _one_amplitude(args, default: float) -> float:
+    """The amplitude of a single-amplitude subcommand."""
+    if args.amplitudes and len(args.amplitudes) > 1:
+        raise argparse.ArgumentError(
+            None, f"{args.command} takes one --A, got {len(args.amplitudes)}"
+        )
+    return args.amplitudes[0] if args.amplitudes else default
 
 
 def _outpath(args, name: str) -> str:
@@ -112,8 +124,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    amplitudes = args.amplitudes or [1.0]
-    A = amplitudes[0]
+    A = _one_amplitude(args, 1.0)
     scenario = heat.HeatScenario(
         A=A, p=args.p, modes=args.modes, horizon=args.horizon,
         rtol=args.rtol, atol=args.atol,
@@ -150,11 +161,12 @@ def cmd_critical(args) -> int:
         "modes": list(args.modes),
         "horizon": args.horizon,
         "value": value,
-        "bisection_tol": 2e-4,
+        "bisection_tol": heat.CRITICAL_TOL,
     }
     path = _outpath(args, "critical.json")
     write_json(record, path)
-    print(f"critical amplitude {value:.4f} +/- 0.0002 (wrote {path})")
+    print(f"critical amplitude {value:.4f} +/- {heat.CRITICAL_TOL:.4f} "
+          f"(wrote {path})")
     return EXIT_OK
 
 
@@ -226,10 +238,9 @@ def cmd_sobolev(args) -> int:
 
 
 def cmd_picard(args) -> int:
-    amplitudes = args.amplitudes or [1.0]
     report = picard.verify_heat_scenario(
-        A=amplitudes[0], t1=args.horizon, p=args.p, modes=args.modes,
-        k_max=args.kmax,
+        A=_one_amplitude(args, 1.0), t1=args.horizon, p=args.p,
+        modes=args.modes, k_max=args.kmax,
     )
     path = _outpath(args, "picard.json")
     write_json(report.to_dict(), path)
@@ -328,11 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("table", help="existence-time table over amplitudes")
-    _add_common(sp, amplitudes=True, tolerances=True, modes=True, horizon=50.0)
+    _add_common(sp, amplitudes="many", tolerances=True, modes=True,
+                horizon=50.0)
     sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("scenario", help="single-amplitude trajectory run")
-    _add_common(sp, amplitudes=True, tolerances=True, modes=True, horizon=50.0)
+    _add_common(sp, amplitudes="one", tolerances=True, modes=True,
+                horizon=50.0)
     sp.set_defaults(func=cmd_scenario)
 
     sp = sub.add_parser("critical", help="bisect the critical amplitude")
@@ -344,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_limit)
 
     sp = sub.add_parser("kaplan", help="blow-up upper bound cross-checks")
-    _add_common(sp, amplitudes=True)
+    _add_common(sp, amplitudes="many")
     sp.set_defaults(func=cmd_kaplan)
 
     sp = sub.add_parser("sobolev", help="multiplication constant bounds")
@@ -353,12 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sobolev)
 
     sp = sub.add_parser("picard", help="fixed-point verification run")
-    _add_common(sp, amplitudes=True, modes=True, horizon=2.0)
+    _add_common(sp, amplitudes="one", modes=True, horizon=2.0)
     sp.add_argument("--kmax", type=int, default=10)
     sp.set_defaults(func=cmd_picard)
 
     sp = sub.add_parser("fd", help="finite-difference reference estimates")
-    _add_common(sp, amplitudes=True, horizon=5.0)
+    _add_common(sp, amplitudes="many", horizon=5.0)
     sp.add_argument("--N", type=int, default=256, help="interior grid points")
     sp.add_argument("--rtol", type=float, default=1e-8)
     sp.add_argument("--atol", type=float, default=1e-10)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Mapping, Sequence
 
@@ -66,10 +67,11 @@ class GalerkinBasis:
         k = np.asarray(self.indices, dtype=float)
         return -k * k
 
-    def norm(self, a: np.ndarray) -> float:
-        """Ambient norm of the span element with coordinates ``a``."""
+    def norm(self, a: np.ndarray):
+        """Ambient norm of the span element with coordinates ``a``: a
+        float for shape (m,), one norm per row for shape (N, m)."""
         a = np.asarray(a, dtype=float)
-        return float(np.sqrt(np.dot(self.metric_diag, a * a)))
+        return np.sqrt((a * a) @ self.metric_diag)
 
 
 @dataclass(frozen=True)
@@ -147,10 +149,17 @@ def missed_sq(form: EpsilonForm, power: np.ndarray, u: np.ndarray):
 
 
 def build_model(indices: Sequence[int], p: int) -> GalerkinModel:
-    """Sample the modes of a mode set on the Gauss nodes of its model."""
+    """The model of a mode set and power: built once per (sorted modes,
+    p) and shared, so its arrays are read-only."""
     basis = GalerkinBasis(tuple(indices))
     if not (isinstance(p, (int, np.integer)) and p >= 2):
         raise ValueError("p must be an integer >= 2")
+    return _model(basis, int(p))
+
+
+@lru_cache(maxsize=64)
+def _model(basis: GalerkinBasis, p: int) -> GalerkinModel:
+    """Sample the modes on the Gauss nodes of the model."""
     idx = basis.indices
     x, w = quad.nodes(2 * p * max(idx))
     SV = np.array([quad.sine_values(k, x) for k in idx])
@@ -161,6 +170,9 @@ def build_model(indices: Sequence[int], p: int) -> GalerkinModel:
         residual_basis=np.hstack([SV, SD / p]),
         weights=np.concatenate([w, (p * p) * w]),
     )
+    for name in ("samples", "doubled", "projector", "residual_basis",
+                 "weights"):
+        getattr(eps_form, name).flags.writeable = False
     return GalerkinModel(basis=basis, p=p, eps_form=eps_form)
 
 

@@ -30,13 +30,13 @@ Amplitude thresholds, all computed rather than hard-coded:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import galerkin, ode
-from .control import tn_closed, r_closed
+from .control import tn_closed
 from .errors import EvocontrolError, OutOfDomainError
 from .kaplan import kaplan_time
 from .records import SPEC_VERSION, ext_pair, write_csv
@@ -48,6 +48,11 @@ C_K = 2.0 * math.sqrt(2.0 / math.pi)
 _UNIFORM_SAMPLES = 512
 _REFINE_SAMPLES = 48
 
+# bisection bracket and tolerance of critical_amplitude
+CRITICAL_LO = 0.7
+CRITICAL_HI = 1.6
+CRITICAL_TOL = 2e-4
+
 
 @dataclass(frozen=True)
 class BasicBounds:
@@ -55,19 +60,14 @@ class BasicBounds:
 
     norm_f0: float
     tn: float
-    radius: Callable[[float], float] = field(compare=False)
 
 
 def basic_bounds(A: float, p: int = 2) -> BasicBounds:
     if not A >= 0.0:
         raise ValueError("A must be >= 0")
     norm_f0 = A / C_N
-    tn = tn_closed(1.0, 1.0, 1.0, p, norm_f0)
-    return BasicBounds(
-        norm_f0=norm_f0,
-        tn=tn,
-        radius=lambda t: r_closed(1.0, 1.0, 1.0, p, norm_f0, t),
-    )
+    return BasicBounds(norm_f0=norm_f0,
+                       tn=tn_closed(1.0, 1.0, 1.0, p, norm_f0))
 
 
 def _datum_column(modes: tuple[int, ...]) -> int:
@@ -131,7 +131,8 @@ def _coupled_rhs(model: galerkin.GalerkinModel, linear_factor: float):
     """Vectorized right-hand side for the (a, R) system.
 
     ``linear_factor`` scales the linear (dissipative) terms: 1 for the
-    physical system, 1/A for the rescaled one, 0 for its limit.
+    physical system, 0 for the large-amplitude limit of the rescaled
+    one.
     """
     basis = model.basis
     m = len(basis.indices)
@@ -157,50 +158,28 @@ def _coupled_rhs(model: galerkin.GalerkinModel, linear_factor: float):
     return rhs
 
 
-def _model_for(modes: tuple[int, ...], p: int,
-               model: galerkin.GalerkinModel | None) -> galerkin.GalerkinModel:
-    """The prebuilt model, checked against the mode set and power, or a
-    new one."""
-    if model is None:
-        return galerkin.build_model(modes, p)
-    if model.basis.indices != modes or model.p != p:
-        raise ValueError("prebuilt model does not match the scenario")
-    return model
-
-
-def _coupled_spec(model: galerkin.GalerkinModel, datum: float,
-                  linear_factor: float, horizon: float, rtol: float,
-                  atol: float, blowup_threshold: float) -> ode.IvpSpec:
-    """The (a, R) IVP from a = datum on mode 1, R = 0."""
-    m = len(model.basis.indices)
+def _coupled_spec(model: galerkin.GalerkinModel, scenario: HeatScenario,
+                  linear_factor: float = 1.0) -> ode.IvpSpec:
+    """The (a, R) IVP of a scenario, from a = A on mode 1, R = 0."""
+    m = len(scenario.modes)
     y0 = np.zeros(m + 1)
-    y0[_datum_column(model.basis.indices)] = datum
+    y0[_datum_column(scenario.modes)] = scenario.A
     return ode.IvpSpec(
         dimension=m + 1,
         rhs=_coupled_rhs(model, linear_factor),
         y0=y0,
         t0=0.0,
-        horizon=horizon,
-        rtol=rtol,
-        atol=atol,
-        blowup_threshold=blowup_threshold,
+        horizon=scenario.horizon,
+        rtol=scenario.rtol,
+        atol=scenario.atol,
+        blowup_threshold=scenario.blowup_threshold,
     )
 
 
-def assemble_coupled_system(
-    scenario: HeatScenario,
-    model: galerkin.GalerkinModel | None = None,
-) -> tuple[ode.IvpSpec, galerkin.GalerkinModel]:
-    """IVP for the coupled (a, R) system of a scenario.
-
-    A prebuilt model for the same mode set and power may be passed to
-    skip the quadrature assembly (bisection loops reuse it)."""
-    model = _model_for(scenario.modes, scenario.p, model)
-    spec = _coupled_spec(
-        model, scenario.A, 1.0, scenario.horizon, scenario.rtol,
-        scenario.atol, scenario.blowup_threshold,
-    )
-    return spec, model
+def assemble_coupled_system(scenario: HeatScenario) -> ode.IvpSpec:
+    """IVP for the coupled (a, R) system of a scenario."""
+    model = galerkin.build_model(scenario.modes, scenario.p)
+    return _coupled_spec(model, scenario)
 
 
 def _sample_times(outcome: ode.IvpOutcome) -> np.ndarray:
@@ -223,8 +202,7 @@ def _build_trajectory(outcome: ode.IvpOutcome,
     states = outcome.interpolate(times)
     coords = states[:, :m]
     radius = states[:, m]
-    metric = model.basis.metric_diag
-    norm_phi = np.sqrt(np.maximum(0.0, (coords * coords) @ metric))
+    norm_phi = model.basis.norm(coords)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(norm_phi > 0.0, radius / norm_phi, 0.0)
     return TrajectorySamples(
@@ -237,16 +215,15 @@ def _build_trajectory(outcome: ode.IvpOutcome,
     )
 
 
-def run_scenario(scenario: HeatScenario,
-                 model: galerkin.GalerkinModel | None = None) -> ScenarioResult:
+def run_scenario(scenario: HeatScenario) -> ScenarioResult:
     """Integrate the coupled system and collect the certified times.
 
     ``t_g`` is the escape time of the reduced system (infinite when the
     run reached the horizon still bounded); ``t_k`` is the closed-form
     blow-up upper bound, present only for A past the threshold C_K.
     """
-    spec, model = assemble_coupled_system(scenario, model)
-    outcome = ode.integrate(spec)
+    model = galerkin.build_model(scenario.modes, scenario.p)
+    outcome = ode.integrate(_coupled_spec(model, scenario))
     if outcome.kind == ode.DOMAIN_EXIT:
         raise EvocontrolError(
             f"coupled system exited its domain at t={outcome.t_end}"
@@ -278,85 +255,55 @@ def table_rows(amplitudes: Sequence[float], p: int = 2,
                modes: Sequence[int] = (1, 3), horizon: float = 50.0,
                rtol: float = 1e-10, atol: float = 1e-12,
                blowup_threshold: float = 1e8) -> list[ScenarioResult]:
-    """Run one scenario per amplitude, sharing the assembled model."""
-    modes = tuple(sorted(int(k) for k in modes))
-    model = galerkin.build_model(modes, p)
-    rows = []
-    for A in amplitudes:
-        scenario = HeatScenario(
+    """Run one scenario per amplitude."""
+    return [
+        run_scenario(HeatScenario(
             A=float(A), p=p, modes=modes, horizon=horizon,
             rtol=rtol, atol=atol, blowup_threshold=blowup_threshold,
-        )
-        rows.append(run_scenario(scenario, model))
-    return rows
-
-
-def is_global(outcome: ode.IvpOutcome) -> bool:
-    """Operational global existence: the horizon was reached and the
-    max-norm is non-increasing over the final tenth of the window."""
-    return ode.norm_nonincreasing_tail(outcome)
+        ))
+        for A in amplitudes
+    ]
 
 
 def critical_amplitude(p: int = 2, modes: Sequence[int] = (1, 3),
-                       horizon: float = 50.0, lo: float = 0.7,
-                       hi: float = 1.6, tol: float = 2e-4,
-                       rtol: float = 1e-10, atol: float = 1e-12) -> float:
+                       horizon: float = 50.0, rtol: float = 1e-10,
+                       atol: float = 1e-12) -> float:
     """Amplitude threshold separating settled runs from escaping ones,
-    located by bisection over A at the given horizon."""
-    modes = tuple(sorted(int(k) for k in modes))
-    model = galerkin.build_model(modes, p)
+    located by bisection over A in [CRITICAL_LO, CRITICAL_HI] to within
+    CRITICAL_TOL at the given horizon."""
 
     def family(A: float) -> ode.IvpSpec:
-        scenario = HeatScenario(
+        return assemble_coupled_system(HeatScenario(
             A=A, p=p, modes=modes, horizon=horizon, rtol=rtol, atol=atol
-        )
-        return assemble_coupled_system(scenario, model)[0]
+        ))
 
     return ode.bisect_parameter(
-        family, lo, hi, tol, classify=lambda outcome: not is_global(outcome)
+        family, CRITICAL_LO, CRITICAL_HI, CRITICAL_TOL,
+        classify=lambda outcome: not ode.norm_nonincreasing_tail(outcome),
     )
 
 
 @dataclass(frozen=True)
 class RescaledResult:
-    """Escape time of the rescaled system and the sampled trajectory."""
+    """Escape time of the rescaled limit system and the sampled
+    trajectory."""
 
-    inv_amplitude: float
     escape_time: float
     trajectory: TrajectorySamples
 
 
-def rescaled_system(p: int = 2, modes: Sequence[int] = (1, 3),
-                    inv_amplitude: float = 0.0, horizon: float = 5.0,
-                    rtol: float = 1e-10, atol: float = 1e-12,
-                    blowup_threshold: float = 1e8,
-                    model: galerkin.GalerkinModel | None = None,
-                    ) -> tuple[ode.IvpSpec, galerkin.GalerkinModel]:
-    """IVP for the amplitude-rescaled system (state and time divided by
-    A, datum (1, 0, ..., 0)); ``inv_amplitude = 0`` is the A -> infinity
-    limit, which is amplitude-free."""
-    if not inv_amplitude >= 0.0:
-        raise ValueError("inv_amplitude must be >= 0")
-    model = _model_for(tuple(sorted(int(k) for k in modes)), p, model)
-    spec = _coupled_spec(
-        model, 1.0, inv_amplitude, horizon, rtol, atol, blowup_threshold
-    )
-    return spec, model
+def rescaled_limit(p: int = 2, modes: Sequence[int] = (1, 3)) -> RescaledResult:
+    """Escape time of the limit system: the constant in t_g ~ const/A.
 
-
-def rescaled_limit(p: int = 2, modes: Sequence[int] = (1, 3),
-                   horizon: float = 5.0, rtol: float = 1e-10,
-                   atol: float = 1e-12) -> RescaledResult:
-    """Escape time of the limit system: the constant in t_g ~ const/A."""
-    spec, model = rescaled_system(
-        p=p, modes=modes, inv_amplitude=0.0, horizon=horizon,
-        rtol=rtol, atol=atol,
-    )
-    outcome = ode.integrate(spec)
+    Dividing state and time by A turns the coupled system into one with
+    datum (1, 0, ..., 0) and linear terms scaled by 1/A; the limit
+    A -> infinity drops them, so it is amplitude-free."""
+    scenario = HeatScenario(A=1.0, p=p, modes=modes, horizon=5.0)
+    model = galerkin.build_model(scenario.modes, p)
+    outcome = ode.integrate(_coupled_spec(model, scenario, linear_factor=0.0))
     if outcome.kind != ode.BLOW_UP:
         raise EvocontrolError("the rescaled limit system did not escape")
     return RescaledResult(
-        inv_amplitude=0.0,
         escape_time=outcome.t_end,
         trajectory=_build_trajectory(outcome, model),
     )

@@ -107,6 +107,8 @@ class IvpSpec:
             raise ValueError(
                 f"y0 has shape {self.y0.shape}, expected ({self.dimension},)"
             )
+        if not (math.isfinite(self.t0) and math.isfinite(self.horizon)):
+            raise ValueError("t0 and horizon must be finite")
         if not self.horizon > self.t0:
             raise ValueError("horizon must exceed t0")
         if not (0.0 < self.rtol < 1.0 and 0.0 < self.atol < 1.0):

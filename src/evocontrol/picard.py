@@ -25,7 +25,7 @@ untruncated residual) remain valid upper bounds on the larger span.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -35,6 +35,10 @@ from . import galerkin, heat, ode
 from . import quadrature as quad
 from .errors import EvocontrolError
 from .records import SPEC_VERSION
+
+# integrator tolerances of the scenario run that verify_heat_scenario checks
+_VERIFY_RTOL = 1e-11
+_VERIFY_ATOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -53,15 +57,8 @@ class FiniteVolterraProblem:
     t0: float
     t1: float
     grid_n: int = 2048
-    model: galerkin.GalerkinModel = field(repr=False, default=None)
 
     def __post_init__(self):
-        if self.model is None:
-            object.__setattr__(
-                self, "model", galerkin.build_model(self.indices, self.p)
-            )
-        if self.model.basis.indices != tuple(sorted(self.indices)):
-            raise ValueError("model mode set does not match the problem")
         object.__setattr__(self, "indices", self.model.basis.indices)
         datum = np.asarray(self.datum, dtype=float)
         if datum.shape != (len(self.indices),):
@@ -71,6 +68,10 @@ class FiniteVolterraProblem:
             raise ValueError("need a finite interval with t1 > t0")
         if self.grid_n < 8:
             raise ValueError("grid resolution too small")
+
+    @cached_property
+    def model(self) -> galerkin.GalerkinModel:
+        return galerkin.build_model(self.indices, self.p)
 
     @cached_property
     def times(self) -> np.ndarray:
@@ -100,22 +101,22 @@ class TrajectoryGrid:
     coords: np.ndarray  # shape (n_times, n_modes)
 
     def __post_init__(self):
+        if self.basis.indices != self.indices:
+            raise ValueError("mode indices must be ascending")
         if self.coords.shape != (len(self.times), len(self.indices)):
             raise ValueError("coordinate array shape mismatch")
 
-    @property
-    def metric_diag(self) -> np.ndarray:
-        k = np.asarray(self.indices, dtype=float)
-        return 1.0 + k * k
+    @cached_property
+    def basis(self) -> galerkin.GalerkinBasis:
+        return galerkin.GalerkinBasis(self.indices)
 
     def norms(self) -> np.ndarray:
-        return np.sqrt((self.coords**2) @ self.metric_diag)
+        return self.basis.norm(self.coords)
 
     def distance_curve(self, other: "TrajectoryGrid") -> np.ndarray:
         if other.indices != self.indices:
             raise ValueError("grids use different mode sets")
-        diff = self.coords - other.coords
-        return np.sqrt((diff**2) @ self.metric_diag)
+        return self.basis.norm(self.coords - other.coords)
 
     def sup_distance(self, other: "TrajectoryGrid") -> float:
         return float(np.max(self.distance_curve(other)))
@@ -247,8 +248,7 @@ def iterate_and_check(problem: FiniteVolterraProblem,
     if radius.shape != (n,) or eps_values.shape != (n,):
         raise ValueError("radius and eps sample shapes must match the grid")
 
-    datum_gap = phi_ap.coords[0] - problem.datum
-    delta = float(np.sqrt((datum_gap**2) @ phi_ap.metric_diag))
+    delta = float(phi_ap.basis.norm(phi_ap.coords[0] - problem.datum))
     e_curve = integral_error_curve(times, eps_values, U, B, delta)
     sigma = float(np.max(e_curve))
     rho = float(np.max(radius))
@@ -330,9 +330,7 @@ def verify_heat_scenario(A: float, t1: float, p: int = 2,
                          modes: Sequence[int] = (1, 3),
                          k_max: int = 10,
                          verification_modes: Sequence[int] | None = None,
-                         grid_n: int = 2048,
-                         rtol: float = 1e-11,
-                         atol: float = 1e-13) -> VerificationReport:
+                         grid_n: int = 2048) -> VerificationReport:
     """End-to-end verification for a heat scenario on [0, t1].
 
     Integrates the coupled (a, R) system, samples trajectory, radius and
@@ -340,10 +338,10 @@ def verify_heat_scenario(A: float, t1: float, p: int = 2,
     larger verification mode set, and runs the iteration checks.
     """
     scenario = heat.HeatScenario(
-        A=A, p=p, modes=tuple(modes), horizon=t1, rtol=rtol, atol=atol
+        A=A, p=p, modes=tuple(modes), horizon=t1,
+        rtol=_VERIFY_RTOL, atol=_VERIFY_ATOL,
     )
-    spec, model = heat.assemble_coupled_system(scenario)
-    outcome = ode.integrate(spec)
+    outcome = ode.integrate(heat.assemble_coupled_system(scenario))
     if outcome.kind != ode.REACHED_HORIZON:
         raise EvocontrolError(
             f"scenario does not persist on [0, {t1}]: {outcome.kind} "
@@ -362,7 +360,8 @@ def verify_heat_scenario(A: float, t1: float, p: int = 2,
     m = len(scenario.modes)
     coords_small = states[:, :m]
     radius = states[:, m]
-    eps_values = np.sqrt(model.eps_form.value_many(coords_small, scenario.modes))
+    form = galerkin.build_model(scenario.modes, p).eps_form
+    eps_values = np.sqrt(form.value_many(coords_small, scenario.modes))
 
     col_of = {k: i for i, k in enumerate(ver_indices)}
     coords = np.zeros((len(times), len(ver_indices)))

@@ -84,6 +84,25 @@ def test_numeric_failure_exits_3(capsys):
     assert "numeric failure" in err
 
 
+def test_infinite_horizon_exits_3_without_output(tmp_path, capsys):
+    # A=0.5 lies below C_N, so the run is global; an infinite window must
+    # not turn it into a blow-up at t=0
+    code = _run(["scenario", "--A", "0.5", "--horizon", "inf",
+                 "--out", str(tmp_path)])
+    assert code == cli.EXIT_NUMERIC
+    assert not (tmp_path / "scenario.json").exists()
+    assert "finite" in capsys.readouterr().err
+
+
+def test_single_amplitude_commands_reject_a_second_A(tmp_path, capsys):
+    for argv in (["scenario", "--A", "1", "--A", "4"],
+                 ["picard", "--A", "1", "--A", "9", "--horizon", "1"]):
+        out = tmp_path / argv[0]
+        assert _run([*argv, "--out", str(out)]) == cli.EXIT_USAGE
+        assert not out.exists()
+        assert "one --A" in capsys.readouterr().err
+
+
 def test_property_violation_exits_4(tmp_path, monkeypatch, capsys):
     def fake_report(seed=0, trials=10_000):
         return {

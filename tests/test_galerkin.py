@@ -213,7 +213,7 @@ def test_many_mode_residual_matches_an_independent_node_set():
     # form over degree-p monomials loses about 1e-5 to cancellation
     modes = tuple(range(1, 48, 2))
     model = gk.build_model(modes, 2)
-    result = heat.run_scenario(heat.HeatScenario(A=10.0, modes=modes), model)
+    result = heat.run_scenario(heat.HeatScenario(A=10.0, modes=modes))
     coords = result.trajectory.coords
     many = np.sqrt(model.eps_form.value_many(coords, modes))
     for row in [*range(0, len(coords), 40), len(coords) - 1]:
@@ -238,12 +238,24 @@ def test_every_kernel_path_agrees_at_p2():
     many = np.sqrt(model.eps_form.value_many(coords, (1, 3)))
     assert np.max(np.abs(many - eps) / eps) <= 1e-14
     problem = picard.FiniteVolterraProblem(
-        indices=(1, 3), p=2, datum=np.zeros(2), t0=0.0, t1=1.0, model=model
+        indices=(1, 3), p=2, datum=np.zeros(2), t0=0.0, t1=1.0
     )
     grid = model.basis.eigenvalues * coords + picard.nonlinearity_on_grid(
         problem, coords
     )
     assert np.max(np.abs(grid - field)) <= 1e-14 * np.max(np.abs(field))
+
+
+def test_models_are_built_once_and_read_only():
+    model = gk.build_model((3, 1), 2)
+    assert gk.build_model([1, 3], 2) is model
+    assert gk.build_model((1, 3), np.int64(2)) is model
+    assert model.basis.indices == (1, 3)
+    form = model.eps_form
+    for name in ("samples", "doubled", "projector", "residual_basis",
+                 "weights"):
+        with pytest.raises(ValueError):
+            getattr(form, name)[0] = 0.0
 
 
 def test_value_many_rejects_a_foreign_column_order():

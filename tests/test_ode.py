@@ -239,6 +239,15 @@ def test_spec_validation():
                     t0=0.0, horizon=1.0, blowup_threshold=1.0)
 
 
+def test_spec_rejects_an_infinite_window():
+    # min_step is 1e-12 of the window: an infinite window would make every
+    # step a collapse, so a run would "blow up" at t0
+    for t0, horizon in ((0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            ode.IvpSpec(dimension=1, rhs=lambda t, y: -y, y0=np.array([1.0]),
+                        t0=t0, horizon=horizon)
+
+
 def _counted(rhs):
     """Wrap an RHS so the test sees every call time."""
     calls = []

@@ -99,7 +99,7 @@ def test_reduced_trajectory_is_fixed_on_its_own_modes():
     from evocontrol import heat, ode
 
     scenario = heat.HeatScenario(A=1.0, horizon=1.0, rtol=1e-11, atol=1e-13)
-    spec, model = heat.assemble_coupled_system(scenario)
+    spec = heat.assemble_coupled_system(scenario)
     outcome = ode.integrate(spec)
     times = np.linspace(0.0, 1.0, 513)
     states = outcome.interpolate(times)

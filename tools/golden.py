@@ -29,6 +29,12 @@ RUNS = {
     "fd": ["fd", "--A", "100", "--profile-time", "0.5"],
     "picard": ["picard", "--A", "1", "--horizon", "2"],
     "wave": ["wave"],
+    # non-default mode sets through every entry point that looks up a model
+    "critical_modes": ["critical", "--modes", "1,3,5"],
+    "limit_modes": ["limit", "--modes", "1,3,5,7,9"],
+    "table_modes": ["table", "--A", "2", "--A", "10", "--modes", "1,3,5"],
+    "picard_modes": ["picard", "--A", "1", "--horizon", "1", "--modes",
+                     "1,3,5"],
     "sobolev": ["sobolev", "--trials", "2000", "--seed", "0"],
 }
 
