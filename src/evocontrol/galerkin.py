@@ -20,8 +20,9 @@ Both come from one kernel, :func:`project_power`, which samples phi and
 phi' on Gauss nodes and returns the projection c together with the
 samples of phi^p; eps_hat is the weighted root sum of squares of what
 the projection misses (:func:`missed_sq`), a norm and never negative.
-Many-row evaluations run through :func:`project_rows` a block at a
-time. The nodes are exact for every integrand involved (trigonometric
+:func:`project_values` is its value half, for callers that need c
+alone. Many-row evaluations go a block of rows at a time
+(:func:`row_blocks`). The nodes are exact for every integrand involved (trigonometric
 degree at most 2 p max(I)); see :mod:`evocontrol.quadrature`.
 """
 
@@ -38,7 +39,7 @@ import numpy as np
 from . import quadrature as quad
 from .control import PolynomialGrowth
 
-# bytes of node samples per block of project_rows: blocks this small are
+# bytes of node samples per block of row_blocks: blocks this small are
 # recycled by the allocator instead of being mapped and faulted in afresh
 _BLOCK_BYTES = 1 << 17
 
@@ -101,8 +102,10 @@ class EpsilonForm:
         ascending mode order)."""
         if tuple(int(k) for k in indices) != self.indices:
             raise ValueError("columns do not follow the model's mode order")
+        coords = np.asarray(coords, dtype=float)
         out = np.empty(len(coords))
-        for rows, c, power in project_rows(self, coords):
+        for rows in row_blocks(self, len(coords)):
+            c, power = project_power(self, coords[rows])
             out[rows] = missed_sq(self, power, c)
         return out
 
@@ -129,15 +132,22 @@ def project_power(form: EpsilonForm, a: np.ndarray):
     return power[..., :len(form.projector)].dot(form.projector), power
 
 
-def project_rows(form: EpsilonForm, coords: np.ndarray):
-    """:func:`project_power` over the rows of ``coords``, a block of
-    rows at a time: yields (rows, c, power) per block, so the node
-    samples of a many-row evaluation stay small."""
-    coords = np.asarray(coords, dtype=float)
+def project_values(form: EpsilonForm, a: np.ndarray):
+    """The projection c of :func:`project_power` from the samples of phi
+    alone, without the derivative half; the same products in the same
+    order."""
+    phi = a.dot(form.samples[:, : len(form.projector)])
+    power = phi
+    for _ in range(form.p - 1):
+        power = power * phi
+    return power.dot(form.projector)
+
+
+def row_blocks(form: EpsilonForm, count: int):
+    """Slices that cut ``count`` rows into blocks whose node samples
+    take about ``_BLOCK_BYTES``, so a many-row evaluation stays small."""
     step = max(1, _BLOCK_BYTES // form.samples[0].nbytes)
-    for start in range(0, len(coords), step):
-        rows = slice(start, start + step)
-        yield (rows, *project_power(form, coords[rows]))
+    return (slice(start, start + step) for start in range(0, count, step))
 
 
 def missed_sq(form: EpsilonForm, power: np.ndarray, u: np.ndarray):

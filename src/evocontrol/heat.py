@@ -95,8 +95,11 @@ class HeatScenario:
         modes = tuple(sorted(int(k) for k in self.modes))
         _datum_column(modes)
         object.__setattr__(self, "modes", modes)
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
+        # what the scenario's IVP (ode.IvpSpec) will require
+        if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
+            raise ValueError("horizon must be positive and finite")
+        if not (0.0 < self.rtol < 1.0 and 0.0 < self.atol < 1.0):
+            raise ValueError("rtol and atol must lie in (0, 1)")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 """Adaptive Runge-Kutta integration with blow-up detection.
 
-The engine integrates initial value problems with an embedded
-Dormand-Prince 5(4) pair and classifies every run into one of three
-outcomes:
+The engine integrates initial value problems with the embedded
+Dormand-Prince 8(5,3) pair of DOP853 (Hairer, Norsett & Wanner, Solving
+ODEs I, II.5-II.6): an 8th-order advancing solution, Hairer's combined
+5th/3rd-order error estimate, Gustafsson's predictive step-size control
+(Hairer & Wanner, Solving ODEs II, IV.8) and a 7th-order dense output.
+Every run is classified into one of three outcomes:
 
 * ``reached_horizon`` : the trajectory exists on the whole time window;
 * ``blow_up``         : the max-norm of the state escaped past a threshold
@@ -16,9 +19,9 @@ counters, the step-size range and the termination reason, which tells
 a threshold escape from a min-step collapse.
 
 The stepping core is allocation-light: one stage buffer per run, the
-tableau sliced once, finiteness and norms taken by direct ufunc
-reductions. It is bit-reproducible: plain deterministic floating point
-in a fixed order, so identical inputs produce bit-identical
+tableau held as float constants, finiteness and norms taken by direct
+ufunc reductions. It is bit-reproducible: plain deterministic floating
+point in a fixed order, so identical inputs produce bit-identical
 accepted-step grids, which downstream code relies on for reproducible
 CSV output.
 """
@@ -46,29 +49,122 @@ THRESHOLD_ESCAPE = "threshold_escape"
 MIN_STEP_COLLAPSE = "min_step_collapse"
 NONFINITE = "nonfinite"
 
-# Dormand-Prince 5(4) tableau (FSAL: the 7th stage of an accepted step is
-# the first stage of the next one).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = np.array(
+# Dormand-Prince 8(5,3) tableau, the coefficients of DOP853 (Hairer,
+# Norsett & Wanner, Solving ODEs I, II.5-II.6). Stage i sits at node
+# _C[i] and combines stages 0..i-1 with the weights _A[i]. Row 12 holds the
+# 8th-order weights and stage 12, at node 1, is the derivative at the
+# advanced state (FSAL: the first stage of the next step). Stages 13-15
+# serve the dense output alone. _E5 and _E3 weigh stages 0-11 into the
+# 5th- and 3rd-order error estimates; _D gives the 4 upper coefficients
+# of the 7th-order dense output polynomial from stages 0-15.
+_C = (
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+    0.7777777777777778,
+)
+_A = (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (
+        0.037037037037037035, 0.0, 0.0, 0.17082860872947386,
+        0.12546768756682242,
+    ),
+    (
+        0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+        -0.017578125,
+    ),
+    (
+        0.03709200011850479, 0.0, 0.0, 0.17038392571223998,
+        0.10726203044637328, -0.015319437748624402, 0.008273789163814023,
+    ),
+    (
+        0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+        27.59209969944671, 20.154067550477894, -43.48988418106996,
+    ),
+    (
+        0.47766253643826434, 0.0, 0.0, -2.4881146199716677,
+        -0.590290826836843, 21.230051448181193, 15.279233632882423,
+        -33.28821096898486, -0.020331201708508627,
+    ),
+    (
+        -0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+        -8.149787010746927, -18.52006565999696, 22.739487099350505,
+        2.4936055526796523, -3.0467644718982196,
+    ),
+    (
+        2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+        -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+        -8.87285693353063, 12.360567175794303, 0.6433927460157636,
+    ),
+    (
+        0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+        1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+        -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
+    ),
+    (
+        0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+        -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+        0.00820105229563469, 0.007567897660545699, -0.008298,
+    ),
+    (
+        0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776,
+        0.053541988307438566, -0.05492374857139099, 0.0, 0.0,
+        -0.00010834732869724932, 0.0003825710908356584,
+        -0.00034046500868740456, 0.1413124436746325,
+    ),
+    (
+        -0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164,
+        7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0,
+        0.0, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987,
+    ),
+)
+_E5 = np.array([
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+    -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+    0.3341791187130175, 0.08192320648511571, -0.022355307863886294,
+])
+_E3 = np.array([
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+    -0.1521609496625161, 0.20136540080403034, 0.02265179219836082,
+])
+_D = np.array([
     [
-        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
-        [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
-        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
-        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
-    ]
-)
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-# b5 - b4, applied to the stages to get the embedded error estimate
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
-# the same tableau sliced once: stage nodes as Python floats, the row of
-# stage i (its first i entries) and the 5th-order weights of stages 0-5
-_NODES = _C.tolist()
-_ROWS = tuple(_A[i, :i] for i in range(6))
-_B5_ROW = _B5[:6]
+        -8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777,
+        -3.0689499459498917, 2.38466765651207, 2.117034582445028,
+        -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+        -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+        -4.436036387594894,
+    ],
+    [
+        10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817,
+        165.20045171727028, -374.5467547226902, -22.113666853125306,
+        7.733432668472264, -30.674084731089398, -9.332130526430229,
+        15.697238121770845, -31.139403219565178, -9.35292435884448,
+        35.81684148639408,
+    ],
+    [
+        19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518,
+        -189.17813819516758, 527.8081592054236, -11.57390253995963,
+        6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+        -2.778205752353508, -60.19669523126412, 84.32040550667716,
+        11.99229113618279,
+    ],
+    [
+        -25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643,
+        -231.5293791760455, 357.6391179106141, 93.40532418362432,
+        -37.45832313645163, 104.0996495089623, 29.8402934266605,
+        -43.53345659001114, 96.32455395918828, -39.17726167561544,
+        -149.72683625798564,
+    ],
+])
+# the stage rows as arrays and the 8th-order weights
+_ROWS = tuple(np.array(row) for row in _A)
+_B = _ROWS[12]
 
 _all = np.logical_and.reduce
 _isfinite = np.isfinite
@@ -77,7 +173,7 @@ _sum = np.add.reduce
 _SAFETY = 0.9
 _FACTOR_MIN = 0.2
 _FACTOR_MAX = 5.0
-_ORDER_EXP = 0.2  # 1 / (order of the advancing solution)
+_ORDER_EXP = 0.125  # 1 / (order of the advancing solution)
 _MAX_STEPS = 20_000_000
 _BRACKET_WIDTH = 5e-7  # escape-time bracket, kept below the 1e-6 contract
 _REDUCE_BYTES = 1 << 17  # size of the block buffer of a history reduction
@@ -159,9 +255,9 @@ class IvpOutcome:
     The history is held once: ``rows`` keeps the per-step state and
     derivative rows the run appended, and ``states``/``derivs`` stack
     them on first access, cache the array and release the rows.
-    ``final_state``, :meth:`max_norm_history` and :meth:`min_history`
-    read the rows as they are, stacked or not. Outcomes compare by
-    identity: their fields hold arrays.
+    ``final_state``, :meth:`interpolate`, :meth:`max_norm_history` and
+    :meth:`min_history` read the rows as they are, stacked or not.
+    Outcomes compare by identity: their fields hold arrays.
     """
 
     kind: str
@@ -179,66 +275,61 @@ class IvpOutcome:
     def derivs(self) -> np.ndarray:
         return np.asarray(self.rows.pop("derivs"))
 
-    def _state_rows(self):
-        """The stored states: the row list, or the array once stacked."""
-        stacked = self.__dict__.get("states")
-        return self.rows["states"] if stacked is None else stacked
+    def _history(self, name: str):
+        """The stored ``states`` or ``derivs``: the row list, or the
+        array once stacked."""
+        stacked = self.__dict__.get(name)
+        return self.rows[name] if stacked is None else stacked
 
     @property
     def final_state(self) -> np.ndarray:
-        return self._state_rows()[-1]
+        return self._history("states")[-1]
 
     def interpolate(self, t) -> np.ndarray:
-        """Cubic Hermite interpolation on the accepted-step grid.
+        """The 7th-order DOP853 dense output on the accepted-step grid.
 
         Accepts a scalar or 1-d array of times inside
         ``[times[0], times[-1]]``; returns states with one row per query.
-        An outcome without an accepted step returns its one sample.
+        Each queried step is recomputed from its stored start (t, y, f)
+        and length, with the 3 extra stages of the dense output, so the
+        outcome stores nothing beyond its step history. An outcome
+        without an accepted step returns its one sample.
         """
         tq = np.atleast_1d(np.asarray(t, dtype=float))
-        lo, hi = self.times[0], self.times[-1]
+        times = self.times
+        lo, hi = times[0], times[-1]
         slack = 1e-12 * max(1.0, abs(hi))
         if np.any(tq < lo - slack) or np.any(tq > hi + slack):
             raise OutOfDomainError(
                 f"interpolation time outside [{lo}, {hi}]"
             )
-        if len(self.times) == 1:
-            out = self.states[np.zeros(tq.size, dtype=np.intp)]
+        states = self._history("states")
+        if len(times) == 1:
+            out = np.tile(states[0], (tq.size, 1))
         else:
-            out = self._hermite(np.clip(tq, lo, hi))
+            tq = np.clip(tq, lo, hi)
+            derivs = self._history("derivs")
+            step = np.searchsorted(times, tq, side="right") - 1
+            step = np.minimum(step, len(times) - 2)
+            out = np.empty((tq.size, self.spec.dimension))
+            stages = _stage_buffer(self.spec.dimension)
+            for i in np.unique(step).tolist():
+                at = np.flatnonzero(step == i)
+                out[at] = _dense_output(
+                    self.spec.rhs, times[i], times[i + 1], states[i],
+                    states[i + 1], derivs[i], derivs[i + 1], stages, tq[at],
+                )
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return out[0]
         return out
 
-    def _hermite(self, tq: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.times, tq, side="right") - 1
-        idx = np.clip(idx, 0, len(self.times) - 2)
-        t0 = self.times[idx]
-        t1 = self.times[idx + 1]
-        h = t1 - t0
-        s = (tq - t0) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s**2 * (3 - 2 * s)
-        h11 = s**2 * (s - 1)
-        y0 = self.states[idx]
-        y1 = self.states[idx + 1]
-        f0 = self.derivs[idx]
-        f1 = self.derivs[idx + 1]
-        return (
-            h00[:, None] * y0
-            + h10[:, None] * (h[:, None] * f0)
-            + h01[:, None] * y1
-            + h11[:, None] * (h[:, None] * f1)
-        )
-
     def max_norm_history(self) -> np.ndarray:
         """max |y| of every stored state."""
-        return _reduce_rows(self._state_rows(), np.max, absolute=True)
+        return _reduce_rows(self._history("states"), np.max, absolute=True)
 
     def min_history(self) -> np.ndarray:
         """Smallest entry of every stored state."""
-        return _reduce_rows(self._state_rows(), np.min)
+        return _reduce_rows(self._history("states"), np.min)
 
 
 def _reduce_rows(rows, reduce, absolute: bool = False) -> np.ndarray:
@@ -258,16 +349,21 @@ def _reduce_rows(rows, reduce, absolute: bool = False) -> np.ndarray:
     return out
 
 
-def _error_norm(err: np.ndarray, y_old: np.ndarray, y_new: np.ndarray,
+def _error_norm(stages, h: float, y_old: np.ndarray, y_new: np.ndarray,
                 rtol: float, atol: float) -> float:
-    """RMS of the scaled error; ``add.reduce / size`` has the bits of
-    ``np.mean``."""
+    """Hairer's DOP853 error norm: the RMS of the scaled 5th-order
+    estimate, damped by the 3rd-order one where that one is large,
+    |h| e5^2 / sqrt(n (e5^2 + 0.01 e3^2)) with e5, e3 the Euclidean
+    norms. An overflow gives a nan or inf norm, which rejects the step."""
+    kt = stages[1][11]
     scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    # near a blow-up the ratio can overflow; an inf norm simply means
-    # "reject the step", so silence the hardware flag
-    with np.errstate(over="ignore"):
-        r = err / scale
-        return math.sqrt(_sum(r * r) / r.size)
+    e5 = (kt @ _E5) / scale
+    e3 = (kt @ _E3) / scale
+    e5_sq = float(_sum(e5 * e5))
+    if e5_sq == 0.0:
+        return 0.0
+    e3_sq = float(_sum(e3 * e3))
+    return h * e5_sq / math.sqrt((e5_sq + 0.01 * e3_sq) * e5.size)
 
 
 def _initial_step(rhs: Rhs, t0: float, y0: np.ndarray, f0: np.ndarray,
@@ -291,44 +387,69 @@ def _initial_step(rhs: Rhs, t0: float, y0: np.ndarray, f0: np.ndarray,
 
 
 def _stage_buffer(n: int):
-    """7 x n stage rows ``k`` plus the transposed prefixes ``k[:i].T``,
-    i = 1..7, that the stage combinations multiply."""
-    k = np.empty((7, n))
-    return k, tuple(k[:i].T for i in range(1, 8))
+    """16 x n stage rows ``k`` plus the transposed prefixes ``k[:i].T``,
+    i = 1..16, that the stage combinations multiply."""
+    k = np.empty((16, n))
+    return k, tuple(k[:i].T for i in range(1, 17))
 
 
 def _rk_step(rhs: Rhs, t: float, y: np.ndarray, f: np.ndarray, h: float,
              stages):
-    """One Dormand-Prince step using a buffer from :func:`_stage_buffer`.
+    """One DOP853 step using a buffer from :func:`_stage_buffer`.
 
-    Returns ``(calls, y5, err_vec, f_new)``, where ``calls`` counts the
-    RHS evaluations made. ``y5`` is None when a stage or the advanced
-    state is non-finite; the attempt stops at the first such stage.
+    Returns ``(calls, y8, f_new)``, where ``calls`` counts the RHS
+    evaluations made; stages 0-11 stay in the buffer for the error norm.
+    ``y8`` is None when a stage or the advanced state is non-finite; the
+    attempt stops at the first such stage.
     """
     k, kt = stages
     k[0] = f
-    for i in range(1, 6):
-        ki = rhs(t + _NODES[i] * h, y + h * (kt[i - 1] @ _ROWS[i]))
+    for i in range(1, 12):
+        ki = rhs(t + _C[i] * h, y + h * (kt[i - 1] @ _ROWS[i]))
         if not _all(_isfinite(ki)):
-            return i, None, None, None
+            return i, None, None
         k[i] = ki
-    y5 = y + h * (kt[5] @ _B5_ROW)
-    if not _all(_isfinite(y5)):
-        return 5, None, None, None
-    k6 = rhs(t + h, y5)
-    if not _all(_isfinite(k6)):
-        return 6, None, None, None
-    k[6] = k6
-    return 6, y5, h * (kt[6] @ _E), k6
+    y8 = y + h * (kt[11] @ _B)
+    if not _all(_isfinite(y8)):
+        return 11, None, None
+    f_new = rhs(t + h, y8)
+    if not _all(_isfinite(f_new)):
+        return 12, None, None
+    return 12, y8, f_new
+
+
+def _dense_output(rhs: Rhs, t0: float, t1: float, y0: np.ndarray,
+                  y1: np.ndarray, f0: np.ndarray, f1: np.ndarray, stages,
+                  tq: np.ndarray) -> np.ndarray:
+    """The 7th-order dense output of the step from (t0, y0) to (t1, y1)
+    at the times ``tq``: stages 1-11 are recomputed, stage 12 is the
+    stored derivative f1, and stages 13-15 are the extra ones. The
+    polynomial in x = (t - t0)/h is
+    y0 + x (F0 + (1-x) (F1 + x (F2 + (1-x) (F3 + ...)))), which meets
+    y0 and y1 at the ends."""
+    k, kt = stages
+    h = t1 - t0
+    k[0] = f0
+    k[12] = f1
+    for i in (*range(1, 12), 13, 14, 15):
+        k[i] = rhs(t0 + _C[i] * h, y0 + h * (kt[i - 1] @ _ROWS[i]))
+    dy = y1 - y0
+    coeffs = (dy, h * f0 - dy, 2.0 * dy - h * (f0 + f1), *(h * (_D @ k)))
+    x = ((tq - t0) / h)[:, None]
+    out = np.zeros((tq.size, y0.size))
+    for j, c in enumerate(reversed(coeffs)):
+        out += c
+        out *= x if j % 2 == 0 else 1.0 - x
+    return out + y0
 
 
 def _refine_escape(rhs: Rhs, t: float, y: np.ndarray, f: np.ndarray,
                    h: float, threshold: float, stages):
     """Bracket the threshold crossing inside an accepted step.
 
-    The crossing is known to occur in (t, t+h]. A single fifth-order step
-    from (t, y) is accurate over any sub-length of h, so plain bisection
-    on the sub-step end time localises the escape. Returns
+    The crossing is known to occur in (t, t+h]. A single eighth-order
+    step from (t, y) is accurate over any sub-length of h, so plain
+    bisection on the sub-step end time localises the escape. Returns
     (t_escape, y_escape, rhs_calls) with the escape state strictly past
     the threshold and t_escape within _BRACKET_WIDTH of the true crossing.
     """
@@ -337,17 +458,17 @@ def _refine_escape(rhs: Rhs, t: float, y: np.ndarray, f: np.ndarray,
     calls = 0
     while hi - lo > _BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
-        n, y5, _, _ = _rk_step(rhs, t, y, f, mid, stages)
+        n, y8, _ = _rk_step(rhs, t, y, f, mid, stages)
         calls += n
-        if y5 is None or np.abs(y5).max() > threshold:
+        if y8 is None or np.abs(y8).max() > threshold:
             hi = mid
-            y_hi = y5
+            y_hi = y8
         else:
             lo = mid
     if y_hi is None:
-        n, y5, _, _ = _rk_step(rhs, t, y, f, hi, stages)
+        n, y8, _ = _rk_step(rhs, t, y, f, hi, stages)
         calls += n
-        y_hi = y5 if y5 is not None else y * np.inf
+        y_hi = y8 if y8 is not None else y * np.inf
     return t + hi, y_hi, calls
 
 
@@ -356,8 +477,10 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
 
     Accepted steps are appended to the sample arrays as they happen; the
     run ends at the horizon, at a bracketed blow-up, or at a domain exit.
-    Raises :class:`StepBudgetError` after ``_MAX_STEPS`` step attempts
-    without any of these.
+    A trial stage may overflow inside the RHS near a blow-up; the attempt
+    is retried on a shorter step, so the run silences numpy's overflow
+    and invalid-value warnings. Raises :class:`StepBudgetError` after
+    ``_MAX_STEPS`` step attempts without any of these.
     """
     rhs = spec.rhs
     t = float(spec.t0)
@@ -374,11 +497,12 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
     threshold = spec.blowup_threshold
     min_step = spec.min_step
     rtol, atol = spec.rtol, spec.atol
-    h = _initial_step(rhs, t, y, f, rtol, atol, horizon - spec.t0)
     stages = _stage_buffer(y.size)
     nfev = 2
     rejected = retries = 0
     saw_nonfinite = False
+    # the last accepted step and its error norm, for Gustafsson's factor
+    h_prev = err_prev = 0.0
 
     def _finish(kind: str, t_end: float, termination: str) -> IvpOutcome:
         grid = np.asarray(times)
@@ -400,59 +524,71 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
             ),
         )
 
-    for _ in range(_MAX_STEPS):
-        if t >= horizon:
-            return _finish(REACHED_HORIZON, horizon, HORIZON)
-        clamped = False
-        if t + h >= horizon:
-            h = horizon - t
-            clamped = True
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _initial_step(rhs, t, y, f, rtol, atol, horizon - spec.t0)
+        for _ in range(_MAX_STEPS):
+            if t >= horizon:
+                return _finish(REACHED_HORIZON, horizon, HORIZON)
+            clamped = False
+            if t + h >= horizon:
+                h = horizon - t
+                clamped = True
 
-        if h < min_step:
-            if saw_nonfinite and np.abs(y).max() <= 0.5 * threshold:
-                return _finish(DOMAIN_EXIT, t, NONFINITE)
-            return _finish(BLOW_UP, t, MIN_STEP_COLLAPSE)
+            if h < min_step:
+                if saw_nonfinite and np.abs(y).max() <= 0.5 * threshold:
+                    return _finish(DOMAIN_EXIT, t, NONFINITE)
+                return _finish(BLOW_UP, t, MIN_STEP_COLLAPSE)
 
-        calls, y_new, err_vec, f_new = _rk_step(rhs, t, y, f, h, stages)
-        nfev += calls
-        if y_new is None:
-            saw_nonfinite = True
-            retries += 1
-            h *= 0.25
-            continue
-        err = _error_norm(err_vec, y, y_new, rtol, atol)
-        if not math.isfinite(err):
-            retries += 1
-            h *= 0.25
-            continue
+            calls, y_new, f_new = _rk_step(rhs, t, y, f, h, stages)
+            nfev += calls
+            if y_new is None:
+                saw_nonfinite = True
+                retries += 1
+                h *= 0.25
+                continue
+            err = _error_norm(stages, h, y, y_new, rtol, atol)
+            if not math.isfinite(err):
+                retries += 1
+                h *= 0.25
+                continue
 
-        if err <= 1.0:
-            t_new = horizon if clamped else t + h
-            if np.abs(y_new).max() > threshold:
-                t_esc, y_esc, calls = _refine_escape(
-                    rhs, t, y, f, t_new - t, threshold, stages
-                )
-                f_esc = np.asarray(rhs(t_esc, y_esc), dtype=float)
-                nfev += calls + 1
-                if not _all(_isfinite(f_esc)):
-                    f_esc = np.zeros_like(y_esc)
-                times.append(t_esc)
-                states.append(y_esc)
-                derivs.append(f_esc)
-                return _finish(BLOW_UP, t_esc, THRESHOLD_ESCAPE)
-            # y_new is a fresh array; f_new may be a buffer the RHS
-            # reuses, so keep a private copy as the next step's FSAL stage
-            t, y, f = t_new, y_new, f_new.copy()
-            times.append(t)
-            states.append(y)
-            derivs.append(f)
-            saw_nonfinite = False
-            factor = _SAFETY * err ** (-_ORDER_EXP) if err > 0.0 else _FACTOR_MAX
-            h *= min(_FACTOR_MAX, max(_FACTOR_MIN, factor))
-        else:
-            rejected += 1
-            factor = _SAFETY * err ** (-_ORDER_EXP)
-            h *= min(1.0, max(_FACTOR_MIN, factor))
+            if err <= 1.0:
+                t_new = horizon if clamped else t + h
+                if np.abs(y_new).max() > threshold:
+                    t_esc, y_esc, calls = _refine_escape(
+                        rhs, t, y, f, t_new - t, threshold, stages
+                    )
+                    f_esc = np.asarray(rhs(t_esc, y_esc), dtype=float)
+                    nfev += calls + 1
+                    if not _all(_isfinite(f_esc)):
+                        f_esc = np.zeros_like(y_esc)
+                    times.append(t_esc)
+                    states.append(y_esc)
+                    derivs.append(f_esc)
+                    return _finish(BLOW_UP, t_esc, THRESHOLD_ESCAPE)
+                # y_new is a fresh array; f_new may be a buffer the RHS
+                # reuses, so keep a private copy as the next step's FSAL
+                # stage
+                t, y, f = t_new, y_new, f_new.copy()
+                times.append(t)
+                states.append(y)
+                derivs.append(f)
+                saw_nonfinite = False
+                if err > 0.0:
+                    factor = _SAFETY * err ** -_ORDER_EXP
+                    if err_prev > 0.0:
+                        # Gustafsson: damp the growth when the error rose
+                        # over the last two steps
+                        factor = min(factor, factor * (h / h_prev)
+                                     * (err_prev / err) ** _ORDER_EXP)
+                else:
+                    factor = _FACTOR_MAX
+                h_prev, err_prev = h, err
+                h *= min(_FACTOR_MAX, max(_FACTOR_MIN, factor))
+            else:
+                rejected += 1
+                factor = _SAFETY * err ** -_ORDER_EXP
+                h *= min(1.0, max(_FACTOR_MIN, factor))
     raise StepBudgetError(_MAX_STEPS)
 
 
@@ -471,11 +607,11 @@ def norm_nonincreasing_tail(outcome: IvpOutcome, fraction: float = 0.1,
         return False
     if abs_slack is None:
         abs_slack = 100.0 * outcome.spec.atol
+    # the window opens at the last sample at or before t_start, so it
+    # holds a step even when the steps are longer than the window
     t_start = outcome.t_end - fraction * (outcome.t_end - outcome.times[0])
-    mask = outcome.times >= t_start
-    norms = outcome.max_norm_history()[mask]
-    if norms.size < 2:
-        return True
+    first = max(0, int(np.searchsorted(outcome.times, t_start, "right")) - 1)
+    norms = outcome.max_norm_history()[first:]
     allowed = norms[:-1] * (1.0 + rel_slack) + abs_slack
     return bool(np.all(norms[1:] <= allowed))
 

@@ -125,9 +125,11 @@ class TrajectoryGrid:
 def nonlinearity_on_grid(problem: FiniteVolterraProblem,
                          coords: np.ndarray) -> np.ndarray:
     """Projected power P(psi)^k at every grid time."""
+    form = problem.model.eps_form
+    coords = np.asarray(coords, dtype=float)
     out = np.empty_like(coords)
-    for rows, c, _ in galerkin.project_rows(problem.model.eps_form, coords):
-        out[rows] = c
+    for rows in galerkin.row_blocks(form, len(coords)):
+        out[rows] = galerkin.project_values(form, coords[rows])
     return out
 
 

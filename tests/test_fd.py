@@ -41,7 +41,7 @@ def test_single_run_holds_its_history_once():
     # the run's rows are the only copy of its history: no stacked or
     # absolute-value copy is built for the max-norms and the minimum
     fd.fd_single_run(fd.FdConfig(A=100.0, N=64))
-    config = fd.FdConfig(A=20.0, N=256)
+    config = fd.FdConfig(A=10.0, N=256)
     tracemalloc.start()
     try:
         run = fd.fd_single_run(config)

@@ -286,3 +286,19 @@ def test_node_products_keep_the_bits_of_the_factor_loop():
             dprod += term
         assert np.array_equal(PV[row], prod)
         assert np.array_equal(PD[row], dprod)
+
+
+@pytest.mark.parametrize("indices, p, rows", [
+    ((1, 3), 2, 1), ((1, 3), 2, 300), ((1, 2, 3, 5), 3, 40),
+    (tuple(range(1, 97)), 2, 200),
+])
+def test_value_half_keeps_the_bits_of_the_projection(indices, p, rows):
+    # project_values multiplies the samples of phi alone, in the order
+    # project_power multiplies its value half
+    form = gk.build_model(indices, p).eps_form
+    k = np.asarray(indices, dtype=float)
+    rng = np.random.default_rng(rows)
+    coords = rng.uniform(-1.0, 1.0, size=(rows, len(indices))) / k
+    for a in (coords[0], coords):
+        c, _ = gk.project_power(form, a)
+        assert np.array_equal(gk.project_values(form, a), c)

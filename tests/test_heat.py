@@ -130,6 +130,19 @@ def test_scenario_validation():
         heat.HeatScenario(A=1.0, p=1)
 
 
+def test_record_with_an_invalid_ivp_is_rejected_when_read():
+    # a scenario checks what its IVP will require, so a bad record fails
+    # as it is read rather than when the run starts
+    record = {"A": 4.0, "p": 2, "modes": [1, 3], "horizon": 2.0,
+              "rtol": 1e-10, "atol": 1e-12, "blowup_threshold": 1e8}
+    assert heat.scenario_from_record(record).horizon == 2.0
+    for key, value in (("horizon", math.inf), ("horizon", math.nan),
+                       ("rtol", 5.0), ("rtol", 0.0), ("atol", 1.0),
+                       ("atol", -1e-12)):
+        with pytest.raises(ValueError):
+            heat.scenario_from_record({**record, key: value})
+
+
 def test_every_coupled_ivp_requires_the_ground_mode():
     # the datum sits on mode 1, so every builder names it when it is missing
     with pytest.raises(ValueError, match="mode 1 must belong"):

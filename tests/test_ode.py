@@ -120,8 +120,8 @@ def test_outcomes_compare_to_a_bool():
 
 
 def test_interpolation_matches_known_solution():
-    # dense output is cubic Hermite, one order below the advancing
-    # solution, so it gets a looser budget than the endpoint values
+    # the 7th-order dense output, one order below the advancing
+    # solution, gets a looser budget than the endpoint values
     outcome = ode.integrate(_decay_spec())
     ts = np.linspace(0.0, 1.0, 57)
     vals = outcome.interpolate(ts)[:, 0]
@@ -129,6 +129,64 @@ def test_interpolation_matches_known_solution():
     assert np.max(np.abs(vals - exact)) <= 1e-7
     with pytest.raises(OutOfDomainError):
         outcome.interpolate(1.5)
+
+
+def test_tableau_is_dop853():
+    # the inlined constants carry the bits of scipy's DOP853 coefficients
+    coeffs = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    A = np.zeros((16, 16))
+    for i, row in enumerate(ode._A):
+        A[i, :i] = row
+    assert np.array(ode._C).tobytes() == coeffs.C.tobytes()
+    assert A.tobytes() == coeffs.A.tobytes()
+    assert ode._B.tobytes() == coeffs.B.tobytes()
+    assert np.append(ode._E3, 0.0).tobytes() == coeffs.E3.tobytes()
+    assert np.append(ode._E5, 0.0).tobytes() == coeffs.E5.tobytes()
+    assert ode._D.tobytes() == coeffs.D.tobytes()
+    # every stage sits at the node its row sums to
+    for row, node in zip(ode._A, ode._C):
+        assert abs(math.fsum(row) - node) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "rhs, y0, horizon, exact",
+    [
+        (lambda t, y: -2.0 * y, 3.0, 1.0, lambda t: 3.0 * np.exp(-2.0 * t)),
+        (lambda t, y: y * y, 1.0, 0.9, lambda t: 1.0 / (1.0 - t)),
+    ],
+)
+def test_dense_output_inside_the_steps(rhs, y0, horizon, exact):
+    # the 7th-order dense output holds the accuracy of the grid values
+    # between them, where the steps of the 8th-order pair are longest
+    rtol = 1e-10
+    outcome = ode.integrate(_spec(rhs, y0=y0, horizon=horizon, rtol=rtol,
+                                  atol=1e-12))
+    t = outcome.times
+    inner = np.concatenate([t[:-1] + f * np.diff(t)
+                            for f in (0.1, 0.37, 0.5, 0.83)])
+    vals = outcome.interpolate(inner)[:, 0]
+    assert np.max(np.abs(vals - exact(inner)) / exact(inner)) <= 10 * rtol
+    # the interpolant meets the stored samples at the grid times
+    assert np.max(np.abs(outcome.interpolate(t)[:, 0] - outcome.states[:, 0])
+                  / outcome.states[:, 0]) <= 1e-14
+
+
+def test_heat_blowup_rejects_few_attempts():
+    # Gustafsson's factor keeps the controller from alternating accepted
+    # and rejected steps along the blow-up tail
+    outcome = ode.integrate(
+        heat.assemble_coupled_system(heat.HeatScenario(A=2.0)))
+    assert outcome.stats.termination == ode.THRESHOLD_ESCAPE
+    assert outcome.stats.rejected <= 0.1 * outcome.stats.accepted
+
+
+def test_blowup_runs_emit_no_warning():
+    # trial stages of the long steps overflow inside the RHS (y**p); the
+    # attempt is retried, and the run stays silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fd.fd_single_run(fd.FdConfig(A=100.0, N=512)).blew_up
+        assert kaplan.comparison_blowup_time(10.0, 4) > 0.0
 
 
 def test_domain_exit_on_nonfinite_rhs():
@@ -291,15 +349,15 @@ def test_stats_count_the_run(rhs, kw, kind, termination):
     assert stats.h_min == steps.min() and stats.h_max == steps.max()
     assert (stats.nonfinite_retries > 0) == (termination == ode.NONFINITE)
     if termination == ode.HORIZON:
-        # no escape bracketing: six fresh stages per attempt after the
+        # no escape bracketing: twelve fresh stages per attempt after the
         # initial evaluation and the first-step guess
-        assert stats.rhs_calls == 2 + 6 * (stats.accepted + stats.rejected)
+        assert stats.rhs_calls == 2 + 12 * (stats.accepted + stats.rejected)
 
 
 def test_nonfinite_middle_stage_is_rejected_early():
     # A clean run shows the first attempt: calls 0 and 1 are the initial
-    # point and the first-step guess, calls 2 and 3 the stages at 0.2 h
-    # and 0.3 h. Poison exactly the time of stage 2 of that attempt.
+    # point and the first-step guess, calls 2 and 3 the stages at c1 h
+    # and c2 h. Poison exactly the time of stage 2 of that attempt.
     clean, clean_calls = _counted(lambda t, y: -y)
     first = ode.integrate(_spec(clean))
     assert first.stats.rejected == first.stats.nonfinite_retries == 0
@@ -313,12 +371,12 @@ def test_nonfinite_middle_stage_is_rejected_early():
     assert calls[:4] == clean_calls[:4]
     # the next call is stage 1 of a new attempt with h quartered, so no
     # stage after the non-finite one was evaluated
-    assert calls[4] == 0.2 * (h * 0.25)
+    assert calls[4] == 0.05260015195876773 * (h * 0.25)  # c1 of DOP853
     assert outcome.times[1] == h * 0.25
     stats = outcome.stats
     assert stats.nonfinite_retries == 1
     assert stats.rhs_calls == len(calls)
-    assert stats.rhs_calls == 2 + 2 + 6 * (stats.accepted + stats.rejected)
+    assert stats.rhs_calls == 2 + 2 + 12 * (stats.accepted + stats.rejected)
     assert outcome.kind == ode.REACHED_HORIZON
     assert abs(outcome.final_state[0] - math.exp(-1.0)) <= 1e-9
 
@@ -367,42 +425,40 @@ def _run_digest(monkeypatch, fn):
 
 
 # Bits of four runs (numpy 2.4 with OpenBLAS on x86-64; another BLAS may
-# round the stage combinations and the node sums differently). The kaplan
-# and fd runs keep the bits the stepping core produced before its lean
-# rewrite; the two coupled (a, R) runs are pinned at the Galerkin node
-# kernel. The digests cover times, states and derivatives of every
-# integration each run makes.
+# round the stage combinations and the node sums differently), pinned at
+# the DOP853 stepping core. The digests cover times, states and
+# derivatives of every integration each run makes.
 def test_pinned_bits_coupled_scenario(monkeypatch):
     result, outcomes, digest = _run_digest(
         monkeypatch, lambda: heat.run_scenario(heat.HeatScenario(A=2.0)))
-    assert result.t_g.hex() == "0x1.8bd3eac380e18p-1"
-    assert len(outcomes[0].times) == 746
+    assert result.t_g.hex() == "0x1.8bd3eacb08d43p-1"
+    assert len(outcomes[0].times) == 151
     assert digest == (
-        "260636f3ca12c3210978a8dd4f4fc17b06c4a0894721c60e564563e74ab9bd14")
+        "37c30a7853b01c7fa241ebb22daec9ef47cffd6ba0fe398dea12492e83f6aea9")
 
 
 def test_pinned_bits_kaplan_comparison(monkeypatch):
     t_esc, outcomes, digest = _run_digest(
         monkeypatch, lambda: kaplan.comparison_blowup_time(2.0, 3))
-    assert t_esc.hex() == "0x1.2696201879107p-3"
-    assert len(outcomes[0].times) == 1228
+    assert t_esc.hex() == "0x1.269620e929645p-3"
+    assert len(outcomes[0].times) == 228
     assert digest == (
-        "ac03a44aa27f520da6a19121c64165f6b99b8075a5152e681de27b2269ff815d")
+        "e2acc3113b5fae034d4367734f9481815b6f3af53657a833c3663c1543b3642d")
 
 
 def test_pinned_bits_fd_run(monkeypatch):
     run, _, digest = _run_digest(
         monkeypatch, lambda: fd.fd_single_run(fd.FdConfig(A=20.0, N=64)))
-    assert run.estimate.hex() == "0x1.109ee179707e2p-4"
-    assert len(run.times) - 1 == 139
+    assert run.estimate.hex() == "0x1.109eec0f884bfp-4"
+    assert len(run.times) - 1 == 49
     assert digest == (
-        "7499bf33b8077ac970424ce53f28a600c095c9089fcf2abc0c1945d6496d95ca")
+        "83469e6939835ebd1041d707e9991c05453b13d067abdd8073c55f5bde1e6860")
 
 
 def test_pinned_bits_critical_amplitude(monkeypatch):
     value, outcomes, digest = _run_digest(monkeypatch, heat.critical_amplitude)
     assert value.hex() == "0x1.0e93fffffffffp+0"
     assert len(outcomes) == 14
-    assert sum(len(o.times) for o in outcomes) == 11000
+    assert sum(len(o.times) for o in outcomes) == 2485
     assert digest == (
-        "ba6b398942a00d386dcf4d89d5483f4b96af2ace9e205ce8e442f5b14a1db7b1")
+        "3206df1ef8bb11809f7e6015981f52ef2ffb28aba92b5b7d99afcee2584bd697")
