@@ -16,7 +16,7 @@ from .control import (
     PolynomialGrowth,
     SemigroupEstimator,
     control_rhs,
-    integral_estimator_eval,
+    power_growth,
     r_closed,
     tn_closed,
 )
@@ -36,8 +36,6 @@ from .galerkin import (
     GalerkinModel,
     build_model,
     epsilon_hat,
-    growth_estimator,
-    initial_coords,
     vector_field,
 )
 from .heat import (
@@ -47,7 +45,6 @@ from .heat import (
     ScenarioResult,
     basic_bounds,
     critical_amplitude,
-    empirical_lower_curve,
     limit_uncertainty,
     rescaled_limit,
     run_scenario,
@@ -58,7 +55,6 @@ from .kaplan import (
     comparison_solution,
     kaplan_time,
     kaplan_time_by_quadrature,
-    q_of_sine_coeffs,
     sn_iteration,
 )
 from .ode import (
@@ -134,13 +130,9 @@ __all__ = [
     "control_rhs",
     "convolution_constant",
     "critical_amplitude",
-    "empirical_lower_curve",
     "epsilon_hat",
     "exact_solution_sup",
     "fd_blowup_time",
-    "growth_estimator",
-    "initial_coords",
-    "integral_estimator_eval",
     "integrate",
     "iterate_and_check",
     "kaplan_time",
@@ -148,7 +140,7 @@ __all__ = [
     "limit_profile",
     "limit_profile_check",
     "limit_uncertainty",
-    "q_of_sine_coeffs",
+    "power_growth",
     "r_closed",
     "ratio_lower_bound",
     "rescaled_limit",

@@ -26,8 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import ode
-from .errors import GrowthDomainError, OutOfDomainError, QuadratureError
-from .quadrature import adaptive_quad
+from .errors import GrowthDomainError, OutOfDomainError
 
 
 @dataclass(frozen=True)
@@ -40,9 +39,6 @@ class SemigroupEstimator:
     def __post_init__(self):
         if not self.U >= 1.0:
             raise ValueError("U must be >= 1")
-
-    def value(self, t: float) -> float:
-        return self.U * math.exp(-self.B * t)
 
 
 @dataclass(frozen=True)
@@ -138,26 +134,20 @@ def control_rhs(problem: ControlProblem, R: float, t: float) -> float:
     return U * eps_t + U * problem.growth.ell(R, t) - problem.semigroup.B * R
 
 
-def integral_estimator_eval(problem: ControlProblem, t: float,
-                            tol: float = 1e-12) -> float:
-    """Integral error estimator
+def power_growth(norm: float, r: float, p: int) -> float:
+    """ell(r) = (norm + r)^p - norm^p, the growth of the power
+    nonlinearity at distance r from a state of size ``norm``.
 
-        E(t) = u(t - t0) delta + int_{t0}^{t} u(t - s) eps(s) ds
-
-    evaluated by adaptive quadrature with absolute tolerance ``tol``.
+    Evaluated as the binomial sum sum_{j=1..p} C(p, j) norm^(p-j) r^j by
+    Horner's rule in r: for norm, r >= 0 every term is nonnegative, so
+    nothing cancels, and ell(0) is exactly 0.
     """
-    if t < problem.t0:
-        raise OutOfDomainError("estimator evaluated before t0")
-    sg = problem.semigroup
-    head = sg.value(t - problem.t0) * problem.errors.delta
-    if t == problem.t0:
-        return head
-    integrand = lambda s: sg.value(t - s) * problem.errors.eps(s)
-    value, abserr = adaptive_quad(integrand, problem.t0, t, epsabs=tol,
-                                  epsrel=1e-10, limit=400)
-    if abserr > 1e3 * tol:
-        raise QuadratureError("integral error estimator did not converge", abserr)
-    return head + value
+    acc = r
+    norm_pow = 1.0
+    for j in range(p - 1, 0, -1):
+        norm_pow *= norm
+        acc = (acc + math.comb(p, j) * norm_pow) * r
+    return acc
 
 
 def _lifespan_kernel(u: float, B: float) -> float:

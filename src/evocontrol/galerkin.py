@@ -32,12 +32,11 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import quadrature as quad
-from .control import PolynomialGrowth
 
 # bytes of node samples per block of row_blocks: blocks this small are
 # recycled by the allocator instead of being mapped and faulted in afresh
@@ -202,52 +201,6 @@ def epsilon_hat(model: GalerkinModel, a: np.ndarray) -> float:
     form = model.eps_form
     c, power = project_power(form, a)
     return math.sqrt(missed_sq(form, power, c))
-
-
-def growth_estimator(model: GalerkinModel, a: np.ndarray) -> PolynomialGrowth:
-    """Growth estimator r -> (||phi|| + r)^p - ||phi||^p, expanded in the
-    binomial coefficients c_j = C(p, j) ||phi||^(p-j); valid for every r."""
-    norm = model.basis.norm(a)
-    p = model.p
-    constants = [math.comb(p, j) * norm ** (p - j) for j in range(1, p + 1)]
-    return PolynomialGrowth.from_constants(constants, radius=math.inf)
-
-
-def ell_hat(model: GalerkinModel, a: np.ndarray, r: float) -> float:
-    """Direct evaluation of the growth estimator at radius r."""
-    if r < 0.0:
-        raise ValueError("radius argument must be >= 0")
-    norm = model.basis.norm(a)
-    p = model.p
-    return sum(math.comb(p, j) * norm ** (p - j) * r**j for j in range(1, p + 1))
-
-
-def initial_coords(basis: GalerkinBasis,
-                   f0_coeffs: Mapping[int, float]) -> tuple[np.ndarray, float]:
-    """Best-approximation coordinates of a sine polynomial datum plus the
-    ambient norm of what the mode set misses."""
-    a0 = np.array([float(f0_coeffs.get(k, 0.0)) for k in basis.indices])
-    missed = 0.0
-    for k, c in f0_coeffs.items():
-        if k not in basis.indices:
-            missed += (1.0 + k * k) * float(c) ** 2
-    return a0, math.sqrt(missed)
-
-
-def residual_norm(model: GalerkinModel, a: np.ndarray, v: np.ndarray) -> float:
-    """Ambient norm of ``Lap(phi) + phi^p - sum_k v_k s_k`` where phi is
-    the span element with coordinates ``a``.
-
-    With v equal to the reduced vector field this is eps_hat(a); for any
-    other v it can only be larger, which is the optimality property the
-    tests exercise.
-    """
-    a = np.asarray(a, dtype=float)
-    v = np.asarray(v, dtype=float)
-    form = model.eps_form
-    _, power = project_power(form, a)
-    # Lap(phi) = sum_k lam_k a_k s_k lies in the span
-    return math.sqrt(missed_sq(form, power, v - model.basis.eigenvalues * a))
 
 
 def _products_on_nodes(SV: np.ndarray, SD: np.ndarray,

@@ -5,13 +5,15 @@ with the scalar control equation of :mod:`evocontrol.control`: the state
 is (a, R) where a are the reduced coordinates and R the error-tube
 radius, with
 
-    da^k/dt = X^k(a),      dR/dt = eps_hat(a) + ell_hat(a, R) - R,
+    da^k/dt = X^k(a),      dR/dt = U (eps_hat(a) + ell(R)) - B R,
 
-from a(0) = (A, 0, ...), R(0) = 0. A finite escape time of this system
-(the reduced existence time, t_g) is a certified lower bound for the
-true existence time; for A past the positivity threshold C_K the
-spectral projection onto the ground mode supplies the upper bound t_k
-(see :mod:`evocontrol.kaplan`). Rescaling state and time by A removes
+from a(0) = (A, 0, ...), R(0) = 0, where ell(R) = (||phi|| + R)^p -
+||phi||^p is :func:`evocontrol.control.power_growth` and U, B are the
+module constants. A finite escape time of this system (the reduced
+existence time, t_g) is a certified lower bound for the true existence
+time; for A past the positivity threshold C_K the spectral projection
+onto the ground mode supplies the upper bound t_k (see
+:mod:`evocontrol.kaplan`). Rescaling state and time by A removes
 the amplitude from the problem and yields the large-A asymptotics of
 both bounds.
 
@@ -36,14 +38,20 @@ from typing import Sequence
 import numpy as np
 
 from . import galerkin, ode
-from .control import tn_closed
-from .errors import EvocontrolError, OutOfDomainError
+from .control import power_growth, tn_closed
+from .errors import EvocontrolError
 from .kaplan import kaplan_time
 from .records import SPEC_VERSION, ext_pair, write_csv
 from .records import write_json  # noqa: F401  (re-exported for callers)
 
 C_N = math.sqrt(2.0) / 2.0
 C_K = 2.0 * math.sqrt(2.0 / math.pi)
+
+# Constants of the control equation for the sine basis in the H1 metric:
+# the heat flow obeys ||e^{t Lap} f|| <= U e^{-B t} ||f|| with U = B = 1,
+# because e^{-k^2 t} <= e^{-t} for k >= 1, and P is the multiplication
+# constant of the norm, ||f g|| <= P ||f|| ||g||.
+U = B = P = 1.0
 
 _UNIFORM_SAMPLES = 512
 _REFINE_SAMPLES = 48
@@ -67,7 +75,7 @@ def basic_bounds(A: float, p: int = 2) -> BasicBounds:
         raise ValueError("A must be >= 0")
     norm_f0 = A / C_N
     return BasicBounds(norm_f0=norm_f0,
-                       tn=tn_closed(1.0, 1.0, 1.0, p, norm_f0))
+                       tn=tn_closed(U, B, P, p, norm_f0))
 
 
 def _datum_column(modes: tuple[int, ...]) -> int:
@@ -142,6 +150,7 @@ def _coupled_rhs(model: galerkin.GalerkinModel, linear_factor: float):
     p = model.p
     lam = linear_factor * basis.eigenvalues
     metric = basis.metric_diag
+    damping = linear_factor * B
     form = model.eps_form
     project = galerkin.project_power
     missed_sq = galerkin.missed_sq
@@ -151,11 +160,11 @@ def _coupled_rhs(model: galerkin.GalerkinModel, linear_factor: float):
         R = y[m]
         c, power = project(form, a)
         norm = math.sqrt(float(metric @ (a * a)))
-        ell = (norm + R) ** p - norm**p if R > 0.0 else 0.0
         out = np.empty(m + 1)
         out[:m] = lam * a + c
-        out[m] = (math.sqrt(missed_sq(form, power, c)) + ell
-                  - linear_factor * R)
+        out[m] = (U * (math.sqrt(missed_sq(form, power, c))
+                       + power_growth(norm, R, p))
+                  - damping * R)
         return out
 
     return rhs
@@ -316,22 +325,6 @@ def limit_uncertainty(limit_time: float) -> float:
     """Large-amplitude limit of the relative gap between the upper and
     lower existence bounds."""
     return (C_K - limit_time) / (C_K + limit_time)
-
-
-def empirical_lower_curve(A: float, crit_amp: float, limit_time: float) -> float:
-    """Observed closed-form fit -(limit_time/crit_amp) log(1 - crit_amp/A)
-    for the escape time as a function of amplitude; valid for A past the
-    critical amplitude."""
-    if not A > crit_amp:
-        raise OutOfDomainError("the empirical curve needs A above the threshold")
-    return -(limit_time / crit_amp) * math.log1p(-crit_amp / A)
-
-
-def semigroup_apply_sine_coeffs(coeffs, t: float) -> dict[int, float]:
-    """Heat flow acting on a sine polynomial: mode k decays by exp(-k^2 t)."""
-    if t < 0.0:
-        raise OutOfDomainError("the heat flow only acts forward in time")
-    return {int(k): float(c) * math.exp(-(k**2) * t) for k, c in coeffs.items()}
 
 
 # ---------------------------------------------------------------------------

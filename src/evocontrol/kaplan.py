@@ -18,18 +18,11 @@ so the solution itself cannot exist past t_k. The module exposes the
 closed form, an independent quadrature evaluation of the underlying
 improper integral, the comparison ODE, and the iteration scheme whose
 monotone limit is the comparison solution.
-
-Nonnegativity of the datum is a hypothesis, not something this module
-can prove; :func:`check_nonneg_sine_coeffs` records the minimum over a
-fixed grid together with the grid resolution so callers can carry the
-evidence around explicitly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping
 
 import numpy as np
 
@@ -37,46 +30,17 @@ from . import ode
 from . import quadrature as quad
 from .errors import NotApplicableError, OutOfDomainError, QuadratureError
 
-# Q(c * sqrt(2/pi) sin x) = c * sqrt(2 pi)/4: only the ground mode survives
-_Q_FACTOR = math.sqrt(2.0 * math.pi) / 4.0
 
-
-@dataclass(frozen=True)
-class NonnegCheck:
-    """Minimum of a datum over a uniform grid; evidence, not proof."""
-
-    min_value: float
-    grid_points: int
-
-    @property
-    def passed(self) -> bool:
-        return self.min_value >= 0.0
-
-
-def q_of_sine_coeffs(coeffs: Mapping[int, float]) -> float:
-    """Ground-mode projection of a sine polynomial (all modes but the
-    first integrate to zero against sin)."""
-    return float(coeffs.get(1, 0.0)) * _Q_FACTOR
-
-
-def q_by_quadrature(f: Callable[[np.ndarray], np.ndarray],
-                    trig_degree: int) -> float:
-    """Q(f) for a trig-polynomial integrand of known degree."""
-    x, w = quad.nodes(trig_degree + 1)
-    return 0.5 * float(np.dot(w, np.sin(x) * f(x)))
-
-
-def check_nonneg_sine_coeffs(coeffs: Mapping[int, float],
-                             grid_points: int = 4096) -> NonnegCheck:
-    x = np.linspace(0.0, np.pi, grid_points)
-    vals = quad.sine_poly_values(dict(coeffs), x)
-    return NonnegCheck(min_value=float(np.min(vals)), grid_points=grid_points)
+def _check_power(p) -> None:
+    """Reject a power that is not an integer >= 2; every route of this
+    module checks its p here."""
+    if not (isinstance(p, (int, np.integer)) and p >= 2):
+        raise ValueError("p must be an integer >= 2")
 
 
 def kaplan_time(q0: float, p: int) -> float:
     """Closed-form blow-up upper bound; only defined for q0 > 1."""
-    if not (isinstance(p, (int, np.integer)) and p >= 2):
-        raise ValueError("p must be an integer >= 2")
+    _check_power(p)
     if not q0 > 1.0:
         raise NotApplicableError(
             f"the blow-up criterion needs Q0 > 1, got {q0}"
@@ -97,6 +61,7 @@ def kaplan_time_by_quadrature(q0: float, p: int, tol: float = 1e-10) -> float:
     is bounded there, with a steep (integrable) layer at v = 0 when Q0
     is close to 1, which the adaptive rule resolves by subdivision.
     """
+    _check_power(p)
     if not q0 > 1.0:
         raise NotApplicableError(
             f"the blow-up criterion needs Q0 > 1, got {q0}"
@@ -141,6 +106,7 @@ def comparison_solution(q0: float, p: int, t: float,
     Raises :class:`OutOfDomainError` when t is past the escape time of
     the comparison problem.
     """
+    _check_power(p)
     if t < 0.0:
         raise OutOfDomainError("comparison solution queried at negative time")
     if t == 0.0:
@@ -158,6 +124,7 @@ def comparison_blowup_time(q0: float, p: int, horizon: float = 100.0,
                            blowup_threshold: float = 1e8) -> float:
     """Escape time of the comparison ODE by direct integration (the
     dual route to :func:`kaplan_time`)."""
+    _check_power(p)
     if not q0 > 1.0:
         raise NotApplicableError(
             f"the comparison problem escapes only for Q0 > 1, got {q0}"

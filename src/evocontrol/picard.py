@@ -228,8 +228,6 @@ def iterate_and_check(problem: FiniteVolterraProblem,
                       radius: np.ndarray,
                       eps_values: np.ndarray,
                       k_max: int,
-                      U: float = 1.0,
-                      B: float = 1.0,
                       scenario_modes: Sequence[int] | None = None,
                       margin_tolerance: float = 1e-8) -> VerificationReport:
     """Run the iteration phi_{k+1} = J(phi_k) from phi_0 = phi_ap and
@@ -238,11 +236,13 @@ def iterate_and_check(problem: FiniteVolterraProblem,
 
     ``radius`` must solve the control inequality on the interval for the
     estimators implied by ``eps_values`` (differential error along
-    phi_ap), U and B; ``k_max`` is the number of contraction steps
-    checked, so iterates up to phi_{k_max + 1} are computed.
+    phi_ap) and the constants ``heat.U`` and ``heat.B``; ``k_max`` is
+    the number of contraction steps checked, so iterates up to
+    phi_{k_max + 1} are computed.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
+    U, B = heat.U, heat.B
     times = problem.times
     n = len(times)
     radius = np.asarray(radius, dtype=float)
@@ -378,5 +378,5 @@ def verify_heat_scenario(A: float, t1: float, p: int = 2,
     phi_ap = TrajectoryGrid(indices=ver_indices, times=times, coords=coords)
     return iterate_and_check(
         problem, phi_ap, radius, eps_values, k_max,
-        U=1.0, B=1.0, scenario_modes=scenario.modes,
+        scenario_modes=scenario.modes,
     )

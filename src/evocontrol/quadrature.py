@@ -19,9 +19,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-_NORM = None  # filled lazily: sqrt(2/pi)
-
-
 @lru_cache(maxsize=None)
 def nodes(trig_degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights integrating trig polynomials of the given degree
@@ -46,14 +43,6 @@ def sine_values(k: int, x: np.ndarray) -> np.ndarray:
 
 def sine_derivs(k: int, x: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 / np.pi) * k * np.cos(k * x)
-
-
-def sine_poly_values(coeffs, x: np.ndarray) -> np.ndarray:
-    """Values of sum_k c_k sqrt(2/pi) sin(kx) for a {mode: coeff} mapping."""
-    out = np.zeros_like(x)
-    for k, c in coeffs.items():
-        out += c * sine_values(k, x)
-    return out
 
 
 def h1_inner(fv: np.ndarray, fd: np.ndarray, gv: np.ndarray, gd: np.ndarray,

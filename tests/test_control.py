@@ -6,11 +6,12 @@ with an implicit solver that shares no code with the package engine.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from evocontrol import control, ode
+from evocontrol import control, ode, picard
 from evocontrol.errors import GrowthDomainError, OutOfDomainError
 
 # (U, B, P, p, norm_f0) -> {t: R_reference}
@@ -106,18 +107,30 @@ def test_rhs_is_the_derivative_of_the_closed_form():
 def test_integral_estimator_constant_eps():
     # with eps constant the integral has the elementary closed form
     # U delta e^{-B t} + (U eps / B)(1 - e^{-B t})
-    problem = control.ControlProblem(
-        semigroup=control.SemigroupEstimator(U=1.3, B=0.9),
-        errors=control.ErrorEstimators.constant(0.4, eps_value=0.25),
-        growth=control.PolynomialGrowth.pure_power(1.0, 2),
-        t0=0.0,
-        horizon=5.0,
-    )
-    for t in (0.0, 0.3, 1.7, 4.0):
-        expected = 1.3 * 0.4 * math.exp(-0.9 * t)
-        expected += 1.3 * 0.25 / 0.9 * (1.0 - math.exp(-0.9 * t))
-        got = control.integral_estimator_eval(problem, t)
-        assert abs(got - expected) <= 1e-10
+    times = np.linspace(0.0, 4.0, 2049)
+    got = picard.integral_error_curve(times, np.full(times.shape, 0.25),
+                                      1.3, 0.9, 0.4)
+    expected = 1.3 * 0.4 * np.exp(-0.9 * times)
+    expected += 1.3 * 0.25 / 0.9 * (1.0 - np.exp(-0.9 * times))
+    assert float(np.max(np.abs(got - expected))) <= 1e-10
+
+
+def _exact_growth(norm, r, p):
+    n, x = Fraction(norm), Fraction(r)
+    return (n + x) ** p - n**p
+
+
+def test_power_growth_matches_exact_rationals():
+    # the binomial form does not cancel: it stays within 2p roundings of
+    # the exact value also where r << norm, and there the difference
+    # form (norm + r)^p - norm^p loses most or all of its digits
+    for norm, r in [(2.0, 1e-12), (1.4, 3e-14), (1.0, 1e-16), (3.3, 1e-9),
+                    (0.5, 7.0), (1e-3, 1e3)]:
+        for p in (2, 3, 4):
+            exact = _exact_growth(norm, r, p)
+            got = control.power_growth(norm, r, p)
+            assert abs(Fraction(got) - exact) <= 2 * p * 2.0**-53 * exact
+            assert control.power_growth(norm, 0.0, p) == 0.0
 
 
 def test_growth_estimator_domain_and_signs():

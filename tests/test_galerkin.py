@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from evocontrol import control
 from evocontrol import galerkin as gk
 from evocontrol import heat, picard
 from evocontrol import quadrature as qd
@@ -115,9 +116,8 @@ def test_two_mode_growth_estimator_formula():
         a = rng.uniform(-2.0, 2.0, 2)
         r = rng.uniform(0.0, 3.0)
         expected = r * r + 2.0 * math.sqrt(2 * a[0] ** 2 + 10 * a[1] ** 2) * r
-        assert abs(gk.ell_hat(model, a, r) - expected) <= 1e-12
-        growth = gk.growth_estimator(model, a)
-        assert abs(growth.ell(r, 0.0) - expected) <= 1e-12
+        got = control.power_growth(model.basis.norm(a), r, model.p)
+        assert abs(got - expected) <= 1e-12
 
 
 def test_residual_form_nonnegative_everywhere():
@@ -142,22 +142,23 @@ def test_projected_field_minimizes_the_residual():
     rng = np.random.default_rng(8)
     for indices, p in [((1, 3), 2), ((1, 2, 3), 2), ((1, 2), 3)]:
         model = gk.build_model(indices, p)
+        form = model.eps_form
         for _ in range(10):
             a = rng.uniform(-1.5, 1.5, len(indices))
+            _, power = gk.project_power(form, a)
+
+            def residual(v):
+                # ambient norm of Lap(phi) + phi^p - sum_k v_k s_k, where
+                # Lap(phi) = sum_k lam_k a_k s_k lies in the span
+                u = v - model.basis.eigenvalues * a
+                return math.sqrt(gk.missed_sq(form, power, u))
+
             v = gk.vector_field(model, a)
-            best = gk.residual_norm(model, a, v)
+            best = residual(v)
             eps = gk.epsilon_hat(model, a)
             assert abs(best - eps) <= 1e-10 * max(1.0, eps)
-            perturbed = gk.residual_norm(model, a, v + rng.uniform(0.1, 0.5, v.size))
+            perturbed = residual(v + rng.uniform(0.1, 0.5, v.size))
             assert perturbed >= eps - 1e-10
-
-
-def test_initial_coordinates_and_missed_mass():
-    basis = gk.GalerkinBasis((1, 3))
-    a0, missed = gk.initial_coords(basis, {1: 2.5})
-    assert np.allclose(a0, [2.5, 0.0]) and missed == 0.0
-    a0, missed = gk.initial_coords(basis, {1: 1.0, 2: 0.5})
-    assert abs(missed - math.sqrt(5.0) * 0.5) <= 1e-15
 
 
 def test_basis_validation():

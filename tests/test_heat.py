@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from evocontrol import control, heat, ode
-from evocontrol.errors import OutOfDomainError
+from evocontrol import control, galerkin, heat, ode
 
 
 def test_datum_norm_and_basic_bounds():
@@ -76,20 +75,46 @@ def test_rescaled_amplitude_consistency():
 
 
 def test_empirical_curve_is_a_lower_bound_on_escape():
+    # the observed fit -(limit_time/crit) log(1 - crit/A) for the escape
+    # time as a function of amplitude, past the critical amplitude
     crit = 1.0569
     limit_time = 1.0261
     rows = heat.table_rows([1.60, 2.0, 4.0, 10.0, 20.0])
     for r in rows:
-        curve = heat.empirical_lower_curve(r.scenario.A, crit, limit_time)
+        curve = -(limit_time / crit) * math.log1p(-crit / r.scenario.A)
         assert r.t_g >= curve
-    with pytest.raises(OutOfDomainError):
-        heat.empirical_lower_curve(1.0, crit, limit_time)
 
 
-def test_semigroup_action_on_modes():
-    out = heat.semigroup_apply_sine_coeffs({1: 2.0, 3: 1.0}, 0.1)
-    assert abs(out[1] - 2.0 * math.exp(-0.1)) <= 1e-15
-    assert abs(out[3] - math.exp(-0.9)) <= 1e-15
+def test_coupled_rhs_is_the_control_equation():
+    # the R-component of the (a, R) right-hand side is the general
+    # control_rhs with the module's U and B (B scaled like the linear
+    # terms), eps = eps_hat(a) and the binomial growth coefficients
+    # C(p, j) ||phi||^(p-j); the bound is relative to the sum of the
+    # magnitudes of its three terms
+    rng = np.random.default_rng(17)
+    for modes, p in (((1, 3), 2), ((1, 3, 5), 3)):
+        model = galerkin.build_model(modes, p)
+        for linear_factor in (1.0, 0.0):
+            rhs = heat._coupled_rhs(model, linear_factor)
+            semigroup = control.SemigroupEstimator(U=heat.U,
+                                                   B=linear_factor * heat.B)
+            for _ in range(25):
+                a = rng.uniform(-2.0, 2.0, len(modes))
+                R = rng.uniform(0.0, 3.0)
+                norm = model.basis.norm(a)
+                eps = galerkin.epsilon_hat(model, a)
+                growth = control.PolynomialGrowth.from_constants(
+                    [math.comb(p, j) * norm ** (p - j) for j in range(1, p + 1)]
+                )
+                problem = control.ControlProblem(
+                    semigroup=semigroup,
+                    errors=control.ErrorEstimators.constant(0.0, eps),
+                    growth=growth, t0=0.0, horizon=1.0,
+                )
+                expected = control.control_rhs(problem, R, 0.0)
+                got = rhs(0.0, np.append(a, R))[len(modes)]
+                scale = heat.U * (eps + growth.ell(R, 0.0)) + semigroup.B * R
+                assert abs(got - expected) <= 1e-14 * scale
 
 
 def test_scenario_record_round_trip(tmp_path):

@@ -36,44 +36,28 @@ def test_quadrature_near_critical_stress():
 
 
 def test_functional_of_the_first_mode():
-    # Q(A s_1) = A / C_K: the weight only sees the first mode
-    assert abs(kaplan.q_of_sine_coeffs({1: 1.0}) - 1.0 / heat.C_K) <= 1e-15
-    assert kaplan.q_of_sine_coeffs({2: 3.0, 5: -1.0}) == 0.0
+    # Q(A s_1) = A / C_K with Q(f) = (1/2) int_0^pi sin(x) f(x) dx; the
+    # weight only sees the first mode
+    x, w = qd.nodes(8)
 
-    def f(x):
-        return np.sqrt(2.0 / np.pi) * np.sin(x)
+    def q(k):
+        return 0.5 * float(np.dot(w, np.sin(x) * qd.sine_values(k, x)))
 
-    assert abs(kaplan.q_by_quadrature(f, 1) - 1.0 / heat.C_K) <= 1e-12
-
-
-def test_functional_intertwines_with_the_flow():
-    # Q(flow(t) f) = e^{-t} Q(f): only the first mode carries weight
-    coeffs = {1: 0.7, 2: -0.4, 3: 1.2}
-    for t in (0.0, 0.3, 2.0):
-        flowed = heat.semigroup_apply_sine_coeffs(coeffs, t)
-        lhs = kaplan.q_of_sine_coeffs(flowed)
-        rhs = math.exp(-t) * kaplan.q_of_sine_coeffs(coeffs)
-        assert abs(lhs - rhs) <= 1e-14
+    assert abs(q(1) - 1.0 / heat.C_K) <= 1e-12
+    assert all(abs(q(k)) <= 1e-12 for k in (2, 3, 5))
 
 
-def test_functional_is_an_average():
-    # the weight sin(x)/2 integrates to 1, so Q(f) <= sup f and, for
-    # nonnegative f, Jensen gives Q(f)^p <= Q(f^p)
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        g_coeffs = {k: c for k, c in enumerate(rng.uniform(-1, 1, 4), start=1)}
-
-        def f(x):
-            g = qd.sine_poly_values(g_coeffs, x)
-            return g * g
-
-        def f_sq(x):
-            g = qd.sine_poly_values(g_coeffs, x)
-            return g**4
-
-        q1 = kaplan.q_by_quadrature(f, 8)
-        q2 = kaplan.q_by_quadrature(f_sq, 16)
-        assert q1**2 <= q2 + 1e-12
+def test_every_route_rejects_a_power_that_is_not_an_integer_above_one():
+    for p in (1, 2.5):
+        routes = (
+            lambda: kaplan.kaplan_time(2.0, p),
+            lambda: kaplan.kaplan_time_by_quadrature(2.0, p),
+            lambda: kaplan.comparison_blowup_time(2.0, p),
+            lambda: kaplan.comparison_solution(2.0, p, 0.1),
+        )
+        for route in routes:
+            with pytest.raises(ValueError):
+                route()
 
 
 def test_comparison_solution_properties():
@@ -107,10 +91,3 @@ def test_iteration_converges_from_below():
     assert abs(prev - target) <= 1e-3
     # base case is the pure decay term
     assert abs(kaplan.sn_iteration(q0, 2, 0, t) - q0 * math.exp(-t)) <= 1e-12
-
-
-def test_nonnegativity_check():
-    ok = kaplan.check_nonneg_sine_coeffs({1: 1.0})
-    assert ok.passed and ok.min_value >= -1e-12
-    bad = kaplan.check_nonneg_sine_coeffs({2: 1.0})
-    assert not bad.passed and bad.min_value < -0.5

@@ -431,10 +431,10 @@ def _run_digest(monkeypatch, fn):
 def test_pinned_bits_coupled_scenario(monkeypatch):
     result, outcomes, digest = _run_digest(
         monkeypatch, lambda: heat.run_scenario(heat.HeatScenario(A=2.0)))
-    assert result.t_g.hex() == "0x1.8bd3eacb08d43p-1"
+    assert result.t_g.hex() == "0x1.8bd3eacb08d2dp-1"
     assert len(outcomes[0].times) == 151
     assert digest == (
-        "37c30a7853b01c7fa241ebb22daec9ef47cffd6ba0fe398dea12492e83f6aea9")
+        "3f202b2712ba8bf245ba0d96dd971fbe77aedbeb6674172da4a5d899abd76df3")
 
 
 def test_pinned_bits_kaplan_comparison(monkeypatch):
@@ -461,4 +461,4 @@ def test_pinned_bits_critical_amplitude(monkeypatch):
     assert len(outcomes) == 14
     assert sum(len(o.times) for o in outcomes) == 2485
     assert digest == (
-        "3206df1ef8bb11809f7e6015981f52ef2ffb28aba92b5b7d99afcee2584bd697")
+        "46968582adbaa14618af9a065bf61946f901a0c711e98902c511554971a45b16")

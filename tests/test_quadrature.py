@@ -31,15 +31,6 @@ def test_normalized_modes_have_weighted_norms():
         assert abs(val - (1.0 + k * k)) <= 1e-12
 
 
-def test_poly_evaluation_matches_manual_sum():
-    coeffs = {1: 0.7, 4: -0.2, 9: 1.1}
-    x = np.linspace(0.1, 3.0, 11)
-    manual = sum(
-        c * math.sqrt(2.0 / math.pi) * np.sin(k * x) for k, c in coeffs.items()
-    )
-    assert np.max(np.abs(qd.sine_poly_values(coeffs, x) - manual)) < 1e-15
-
-
 def test_prefix_weights_integrate_cubics_exactly():
     # every row past the first composes Simpson and 3/8 panels, both
     # cubic-exact; the 3-point head rule for the very first interval is

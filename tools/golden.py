@@ -18,6 +18,8 @@ import sys
 
 RUNS = {
     "table": ["table"],
+    # the only run at p != 2, where the growth ell has three terms
+    "table_p3": ["table", "--p", "3"],
     "scenario": ["scenario", "--A", "4"],
     # twelve modes: where the node kernel and a Gram form over degree-p
     # monomials differ the most
