@@ -98,8 +98,7 @@ class PolynomialGrowth:
 
     @staticmethod
     def pure_power(P: float, p: int, radius: float = math.inf) -> "PolynomialGrowth":
-        if p < 2:
-            raise ValueError("power must be >= 2")
+        check_power(p)
         constants = [0.0] * (p - 1) + [float(P)]
         return PolynomialGrowth.from_constants(constants, radius)
 
@@ -132,6 +131,13 @@ def control_rhs(problem: ControlProblem, R: float, t: float) -> float:
     if eps_t < 0.0:
         raise ValueError("differential error estimator must be nonnegative")
     return U * eps_t + U * problem.growth.ell(R, t) - problem.semigroup.B * R
+
+
+def check_power(p) -> None:
+    """Reject a power p of the nonlinearity u^p that is not an integer
+    >= 2; every entry point that takes p checks it here."""
+    if not (isinstance(p, (int, np.integer)) and p >= 2):
+        raise ValueError("p must be an integer >= 2")
 
 
 def power_growth(norm: float, r: float, p: int) -> float:
@@ -204,8 +210,7 @@ def _check_pure_power_args(U, B, P, p, norm_f0):
         raise ValueError("B must be >= 0 for the closed forms")
     if not P >= 0.0:
         raise ValueError("P must be >= 0")
-    if not (isinstance(p, (int, np.integer)) and p >= 2):
-        raise ValueError("p must be an integer >= 2")
+    check_power(p)
     if not norm_f0 >= 0.0:
         raise ValueError("norm_f0 must be >= 0")
 
@@ -216,15 +221,16 @@ def as_ivp(problem: ControlProblem, rtol: float = 1e-10, atol: float = 1e-12,
 
     Leaving the growth radius is signalled to the integrator by a
     non-finite right-hand side, so such runs end in a domain exit rather
-    than an exception mid-step.
+    than an exception mid-step. The right-hand side takes one state of
+    shape (1,) or states as the columns of a (1, S) array with times of
+    shape (S,), and evaluates the scalar equation column by column.
     """
     radius = problem.growth.radius
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        R = y[0]
-        if R >= radius:
-            return np.array([math.inf])
-        return np.array([control_rhs(problem, R, t)])
+    def rhs(t, y: np.ndarray) -> np.ndarray:
+        out = [math.inf if R >= radius else control_rhs(problem, R, s)
+               for R, s in np.broadcast(y[0], t)]
+        return np.reshape(out, y.shape)
 
     return ode.IvpSpec(
         dimension=1,

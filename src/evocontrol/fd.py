@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ode
+from .control import check_power
 from .errors import GridDisagreementError
 from .records import SPEC_VERSION, ext_pair, write_csv
 
@@ -46,8 +47,7 @@ class FdConfig:
             raise ValueError("need at least 64 interior points")
         if self.A < 0:
             raise ValueError("amplitude must be nonnegative")
-        if self.p < 2 or self.p != int(self.p):
-            raise ValueError("power must be an integer >= 2")
+        check_power(self.p)
         if not (self.horizon > 0 and math.isfinite(self.horizon)):
             raise ValueError("horizon must be finite and positive")
 

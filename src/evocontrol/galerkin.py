@@ -37,6 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from . import quadrature as quad
+from .control import check_power
 
 # bytes of node samples per block of row_blocks: blocks this small are
 # recycled by the allocator instead of being mapped and faulted in afresh
@@ -161,8 +162,7 @@ def build_model(indices: Sequence[int], p: int) -> GalerkinModel:
     """The model of a mode set and power: built once per (sorted modes,
     p) and shared, so its arrays are read-only."""
     basis = GalerkinBasis(tuple(indices))
-    if not (isinstance(p, (int, np.integer)) and p >= 2):
-        raise ValueError("p must be an integer >= 2")
+    check_power(p)
     return _model(basis, int(p))
 
 

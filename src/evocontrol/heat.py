@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from . import galerkin, ode
-from .control import power_growth, tn_closed
+from .control import check_power, power_growth, tn_closed
 from .errors import EvocontrolError
 from .kaplan import kaplan_time
 from .records import SPEC_VERSION, ext_pair, write_csv
@@ -98,8 +98,7 @@ class HeatScenario:
     def __post_init__(self):
         if not self.A >= 0.0:
             raise ValueError("A must be >= 0")
-        if not (isinstance(self.p, (int, np.integer)) and self.p >= 2):
-            raise ValueError("p must be an integer >= 2")
+        check_power(self.p)
         modes = tuple(sorted(int(k) for k in self.modes))
         _datum_column(modes)
         object.__setattr__(self, "modes", modes)
@@ -139,7 +138,9 @@ class ScenarioResult:
 
 
 def _coupled_rhs(model: galerkin.GalerkinModel, linear_factor: float):
-    """Vectorized right-hand side for the (a, R) system.
+    """Vectorized right-hand side for the (a, R) system: one state of
+    shape (m+1,), or states as the columns of an (m+1, S) array (the
+    column contract of :class:`evocontrol.ode.IvpSpec`).
 
     ``linear_factor`` scales the linear (dissipative) terms: 1 for the
     physical system, 0 for the large-amplitude limit of the rescaled
@@ -154,15 +155,17 @@ def _coupled_rhs(model: galerkin.GalerkinModel, linear_factor: float):
     form = model.eps_form
     project = galerkin.project_power
     missed_sq = galerkin.missed_sq
+    sqrt = np.sqrt
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(t, y: np.ndarray) -> np.ndarray:
         a = y[:m]
         R = y[m]
-        c, power = project(form, a)
-        norm = math.sqrt(float(metric @ (a * a)))
-        out = np.empty(m + 1)
-        out[:m] = lam * a + c
-        out[m] = (U * (math.sqrt(missed_sq(form, power, c))
+        rows = a.T
+        c, power = project(form, rows)
+        norm = sqrt(metric @ (a * a))
+        out = np.empty_like(y)
+        out[:m] = (lam * rows + c).T
+        out[m] = (U * (sqrt(missed_sq(form, power, c))
                        + power_growth(norm, R, p))
                   - damping * R)
         return out

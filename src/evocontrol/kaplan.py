@@ -28,19 +28,13 @@ import numpy as np
 
 from . import ode
 from . import quadrature as quad
+from .control import check_power
 from .errors import NotApplicableError, OutOfDomainError, QuadratureError
-
-
-def _check_power(p) -> None:
-    """Reject a power that is not an integer >= 2; every route of this
-    module checks its p here."""
-    if not (isinstance(p, (int, np.integer)) and p >= 2):
-        raise ValueError("p must be an integer >= 2")
 
 
 def kaplan_time(q0: float, p: int) -> float:
     """Closed-form blow-up upper bound; only defined for q0 > 1."""
-    _check_power(p)
+    check_power(p)
     if not q0 > 1.0:
         raise NotApplicableError(
             f"the blow-up criterion needs Q0 > 1, got {q0}"
@@ -61,7 +55,7 @@ def kaplan_time_by_quadrature(q0: float, p: int, tol: float = 1e-10) -> float:
     is bounded there, with a steep (integrable) layer at v = 0 when Q0
     is close to 1, which the adaptive rule resolves by subdivision.
     """
-    _check_power(p)
+    check_power(p)
     if not q0 > 1.0:
         raise NotApplicableError(
             f"the blow-up criterion needs Q0 > 1, got {q0}"
@@ -83,8 +77,9 @@ def kaplan_time_by_quadrature(q0: float, p: int, tol: float = 1e-10) -> float:
 def _comparison_spec(q0: float, p: int, horizon: float, rtol: float,
                      atol: float, blowup_threshold: float = 1e8,
                      ) -> ode.IvpSpec:
-    """dS/dt = S^p - S from S(0) = q0 as a one-dimensional IVP."""
-    def rhs(s: float, y: np.ndarray) -> np.ndarray:
+    """dS/dt = S^p - S from S(0) = q0 as a one-dimensional IVP; the
+    right-hand side is elementwise, so it takes (1,) or (1, S) states."""
+    def rhs(s, y: np.ndarray) -> np.ndarray:
         return np.array([y[0] ** p - y[0]])
 
     return ode.IvpSpec(
@@ -106,7 +101,7 @@ def comparison_solution(q0: float, p: int, t: float,
     Raises :class:`OutOfDomainError` when t is past the escape time of
     the comparison problem.
     """
-    _check_power(p)
+    check_power(p)
     if t < 0.0:
         raise OutOfDomainError("comparison solution queried at negative time")
     if t == 0.0:
@@ -124,7 +119,7 @@ def comparison_blowup_time(q0: float, p: int, horizon: float = 100.0,
                            blowup_threshold: float = 1e8) -> float:
     """Escape time of the comparison ODE by direct integration (the
     dual route to :func:`kaplan_time`)."""
-    _check_power(p)
+    check_power(p)
     if not q0 > 1.0:
         raise NotApplicableError(
             f"the comparison problem escapes only for Q0 > 1, got {q0}"

@@ -18,6 +18,12 @@ Each outcome carries an :class:`IvpStats` record: step and RHS-call
 counters, the step-size range and the termination reason, which tells
 a threshold escape from a min-step collapse.
 
+A right-hand side takes the layout of scipy's ``solve_ivp(vectorized=True)``:
+it maps a state of shape (n,) at a float time to shape (n,) while
+stepping, and states as the columns of an (n, S) array, with times of
+shape (S,), to (n, S) in the dense output, which evaluates each stage of
+all queried steps in one call.
+
 The stepping core is allocation-light: one stage buffer per run, the
 tableau held as float constants, finiteness and norms taken by direct
 ufunc reductions. It is bit-reproducible: plain deterministic floating
@@ -37,7 +43,8 @@ import numpy as np
 
 from .errors import BracketError, OutOfDomainError, StepBudgetError
 
-Rhs = Callable[[float, np.ndarray], np.ndarray]
+# rhs(t, y): (n,) states at float times, or (n, S) columns at (S,) times
+Rhs = Callable[[float | np.ndarray, np.ndarray], np.ndarray]
 
 REACHED_HORIZON = "reached_horizon"
 BLOW_UP = "blow_up"
@@ -165,6 +172,14 @@ _D = np.array([
 # the stage rows as arrays and the 8th-order weights
 _ROWS = tuple(np.array(row) for row in _A)
 _B = _ROWS[12]
+# the stages the dense output recomputes, each with the nonzero
+# (stage, weight) terms of its row, and the nonzero terms of the _D rows
+_DENSE_STAGES = tuple(
+    (i, tuple((j, w) for j, w in enumerate(_A[i]) if w != 0.0))
+    for i in (*range(1, 12), 13, 14, 15)
+)
+_D_TERMS = tuple(tuple((j, w) for j, w in enumerate(row.tolist()) if w != 0.0)
+                 for row in _D)
 
 _all = np.logical_and.reduce
 _isfinite = np.isfinite
@@ -183,6 +198,10 @@ _REDUCE_BYTES = 1 << 17  # size of the block buffer of a history reduction
 class IvpSpec:
     """Initial value problem plus the knobs the integrator honours.
 
+    ``rhs(t, y)`` maps a state of shape (n,) at the float time t to its
+    derivative of shape (n,); the dense output also calls it on states
+    as the columns of an (n, S) array, with t of shape (S,), and takes
+    column j of the (n, S) result as the derivative of column j.
     ``min_step`` defaults to 1e-12 times the window length; an accepted
     step below it is treated as a finite-time singularity.
     """
@@ -292,7 +311,10 @@ class IvpOutcome:
         ``[times[0], times[-1]]``; returns states with one row per query.
         Each queried step is recomputed from its stored start (t, y, f)
         and length, with the 3 extra stages of the dense output, so the
-        outcome stores nothing beyond its step history. An outcome
+        outcome stores nothing beyond its step history. The queried
+        steps are recomputed together, as the columns of one RHS call
+        per stage (the column contract of :class:`IvpSpec`), in chunks
+        whose stage buffer stays within ``_REDUCE_BYTES``. An outcome
         without an accepted step returns its one sample.
         """
         tq = np.atleast_1d(np.asarray(t, dtype=float))
@@ -311,13 +333,15 @@ class IvpOutcome:
             derivs = self._history("derivs")
             step = np.searchsorted(times, tq, side="right") - 1
             step = np.minimum(step, len(times) - 2)
-            out = np.empty((tq.size, self.spec.dimension))
-            stages = _stage_buffer(self.spec.dimension)
-            for i in np.unique(step).tolist():
-                at = np.flatnonzero(step == i)
+            steps, column = np.unique(step, return_inverse=True)
+            n = self.spec.dimension
+            out = np.empty((tq.size, n))
+            width = max(1, _REDUCE_BYTES // (16 * 8 * n))
+            for s in range(0, steps.size, width):
+                at = np.flatnonzero((column >= s) & (column < s + width))
                 out[at] = _dense_output(
-                    self.spec.rhs, times[i], times[i + 1], states[i],
-                    states[i + 1], derivs[i], derivs[i + 1], stages, tq[at],
+                    self.spec.rhs, times, states, derivs,
+                    steps[s : s + width], tq[at], column[at] - s,
                 )
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return out[0]
@@ -387,10 +411,10 @@ def _initial_step(rhs: Rhs, t0: float, y0: np.ndarray, f0: np.ndarray,
 
 
 def _stage_buffer(n: int):
-    """16 x n stage rows ``k`` plus the transposed prefixes ``k[:i].T``,
-    i = 1..16, that the stage combinations multiply."""
-    k = np.empty((16, n))
-    return k, tuple(k[:i].T for i in range(1, 17))
+    """12 x n stage rows ``k`` plus the transposed prefixes ``k[:i].T``,
+    i = 1..12, that the stage combinations of a step multiply."""
+    k = np.empty((12, n))
+    return k, tuple(k[:i].T for i in range(1, 13))
 
 
 def _rk_step(rhs: Rhs, t: float, y: np.ndarray, f: np.ndarray, h: float,
@@ -418,29 +442,54 @@ def _rk_step(rhs: Rhs, t: float, y: np.ndarray, f: np.ndarray, h: float,
     return 12, y8, f_new
 
 
-def _dense_output(rhs: Rhs, t0: float, t1: float, y0: np.ndarray,
-                  y1: np.ndarray, f0: np.ndarray, f1: np.ndarray, stages,
-                  tq: np.ndarray) -> np.ndarray:
-    """The 7th-order dense output of the step from (t0, y0) to (t1, y1)
-    at the times ``tq``: stages 1-11 are recomputed, stage 12 is the
-    stored derivative f1, and stages 13-15 are the extra ones. The
+def _columns(rows, index: np.ndarray) -> np.ndarray:
+    """The stored rows at ``index`` as the columns of an (n, S) array."""
+    return np.stack([rows[i] for i in index.tolist()], axis=1)
+
+
+def _combine(terms, k: np.ndarray) -> np.ndarray:
+    """sum_j w_j k[j] over the (j, w_j) ``terms``, added term by term in
+    their order, so every column gets the same bits whatever the number
+    of columns."""
+    (j, w), *rest = terms
+    acc = w * k[j]
+    for j, w in rest:
+        acc += w * k[j]
+    return acc
+
+
+def _dense_output(rhs: Rhs, times: np.ndarray, states, derivs,
+                  chunk: np.ndarray, tq: np.ndarray,
+                  step: np.ndarray) -> np.ndarray:
+    """The 7th-order dense output of the S stored steps ``chunk``, from
+    (t0, y0, f0) = (times, states, derivs)[i] to (t1, y1, f1) at i + 1
+    for i in ``chunk``, at the times ``tq``, query q on step
+    ``chunk[step[q]]``.
+
+    The steps are the S columns of (n, S) arrays. Stages 1-11 are
+    recomputed, stage 12 is the stored derivative f1, and stages 13-15
+    are the extra ones; each stage is one RHS call on all S columns. The
     polynomial in x = (t - t0)/h is
     y0 + x (F0 + (1-x) (F1 + x (F2 + (1-x) (F3 + ...)))), which meets
-    y0 and y1 at the ends."""
-    k, kt = stages
-    h = t1 - t0
+    y0 and y1 at the ends. Returns one row per query."""
+    t0 = times[chunk]
+    h = times[chunk + 1] - t0
+    y0, y1 = _columns(states, chunk), _columns(states, chunk + 1)
+    f0, f1 = _columns(derivs, chunk), _columns(derivs, chunk + 1)
+    k = np.empty((16,) + y0.shape)
     k[0] = f0
     k[12] = f1
-    for i in (*range(1, 12), 13, 14, 15):
-        k[i] = rhs(t0 + _C[i] * h, y0 + h * (kt[i - 1] @ _ROWS[i]))
+    for i, terms in _DENSE_STAGES:
+        k[i] = rhs(t0 + _C[i] * h, y0 + h * _combine(terms, k))
     dy = y1 - y0
-    coeffs = (dy, h * f0 - dy, 2.0 * dy - h * (f0 + f1), *(h * (_D @ k)))
-    x = ((tq - t0) / h)[:, None]
-    out = np.zeros((tq.size, y0.size))
+    coeffs = (dy, h * f0 - dy, 2.0 * dy - h * (f0 + f1),
+              *(h * _combine(terms, k) for terms in _D_TERMS))
+    x = (tq - t0[step]) / h[step]
+    out = np.zeros((y0.shape[0], tq.size))
     for j, c in enumerate(reversed(coeffs)):
-        out += c
+        out += c[:, step]
         out *= x if j % 2 == 0 else 1.0 - x
-    return out + y0
+    return (out + y0[:, step]).T
 
 
 def _refine_escape(rhs: Rhs, t: float, y: np.ndarray, f: np.ndarray,

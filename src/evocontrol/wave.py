@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .control import check_power
 from .errors import OutOfDomainError
 
 
@@ -38,8 +39,7 @@ class WaveDatum:
     def __post_init__(self):
         if not 0.0 <= self.sup_pos <= self.sup_abs:
             raise ValueError("need 0 <= sup_pos <= sup_abs")
-        if self.p < 2 or self.p != int(self.p):
-            raise ValueError("power must be an integer >= 2")
+        check_power(self.p)
 
     @classmethod
     def from_samples(cls, values, p: int) -> "WaveDatum":

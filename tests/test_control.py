@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from evocontrol import control, ode, picard
+from evocontrol import control, fd, galerkin, heat, kaplan, ode, picard, wave
 from evocontrol.errors import GrowthDomainError, OutOfDomainError
 
 # (U, B, P, p, norm_f0) -> {t: R_reference}
@@ -76,6 +76,24 @@ def test_argument_validation():
         control.tn_closed(1.0, 0.0, 1.0, 1, 1.0)  # p too small
     with pytest.raises(ValueError):
         control.tn_closed(1.0, 0.0, 1.0, 2.5, 1.0)  # non-integer p
+
+
+def test_every_entry_point_rejects_a_power_that_is_not_an_integer_above_one():
+    # one check (control.check_power) behind every entry point taking p
+    for p in (1, 2.5):
+        entry_points = (
+            lambda: heat.HeatScenario(A=1.0, p=p),
+            lambda: galerkin.build_model((1, 3), p),
+            lambda: control.tn_closed(1.0, 0.0, 1.0, p, 1.0),
+            lambda: control.r_closed(1.0, 0.0, 1.0, p, 1.0, 0.1),
+            lambda: kaplan.kaplan_time(2.0, p),
+            lambda: control.PolynomialGrowth.pure_power(1.0, p),
+            lambda: fd.FdConfig(A=1.0, p=p),
+            lambda: wave.WaveDatum(sup_pos=0.5, sup_abs=1.0, p=p),
+        )
+        for entry_point in entry_points:
+            with pytest.raises(ValueError, match="integer >= 2"):
+                entry_point()
 
 
 def test_rhs_is_the_derivative_of_the_closed_form():

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from evocontrol import fd, heat, kaplan, ode
+from evocontrol import control, fd, galerkin, heat, kaplan, ode
 from evocontrol.errors import (
     BracketError,
     EvocontrolError,
@@ -169,6 +169,120 @@ def test_dense_output_inside_the_steps(rhs, y0, horizon, exact):
     # the interpolant meets the stored samples at the grid times
     assert np.max(np.abs(outcome.interpolate(t)[:, 0] - outcome.states[:, 0])
                   / outcome.states[:, 0]) <= 1e-14
+
+
+def _package_rhs_cases():
+    """(name, rhs, random states of shape (n, 5)) for every right-hand
+    side the package integrates."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for modes, p in (((1, 3), 2), ((1, 3, 5), 3)):
+        model = galerkin.build_model(modes, p)
+        y = rng.normal(size=(len(modes) + 1, 5))
+        y[-1] = np.abs(y[-1])
+        for factor in (1.0, 0.0):
+            cases.append((f"coupled {modes} x{factor}",
+                          heat._coupled_rhs(model, factor), y))
+    cases.append(("fd N=64", fd.semidiscrete_rhs(64, 2),
+                  rng.normal(size=(64, 5))))
+    for p in (2, 3, 4):
+        spec = kaplan._comparison_spec(2.0, p, 1.0, 1e-12, 1e-13)
+        cases.append((f"kaplan p={p}", spec.rhs,
+                      rng.uniform(0.5, 3.0, size=(1, 5))))
+    problem = control.ControlProblem(
+        semigroup=control.SemigroupEstimator(U=1.5, B=0.5),
+        errors=control.ErrorEstimators(delta=0.1, eps=lambda t: 0.1 * t),
+        growth=control.PolynomialGrowth.pure_power(1.0, 2, radius=5.0),
+        t0=0.0,
+        horizon=1.0,
+    )
+    # one column past the growth radius, where the value is inf
+    cases.append(("control", control.as_ivp(problem).rhs,
+                  np.array([[0.0, 0.3, 2.0, 4.9, 5.5]])))
+    return cases
+
+
+_RHS_CASES = _package_rhs_cases()
+
+
+@pytest.mark.parametrize("name, rhs, states", _RHS_CASES,
+                         ids=[case[0] for case in _RHS_CASES])
+def test_rhs_column_contract(name, rhs, states):
+    # (n, K) columns at (K,) times give, column by column, the (n,) call
+    for K in (1, 5):
+        y = states[:, :K].copy()
+        t = np.linspace(0.0, 1.0, K)
+        batch = rhs(t, y)
+        assert batch.shape == y.shape
+        for j in range(K):
+            one = rhs(float(t[j]), y[:, j].copy())
+            if name.startswith("coupled") and K > 1:
+                # the Galerkin kernel's products go to BLAS, which rounds
+                # one state (gemv, ddot) and a batch of rows (gemm) in a
+                # different order: the columns agree to a few units in
+                # the last place of the column's largest entry
+                scale = np.max(np.abs(one))
+                assert np.max(np.abs(batch[:, j] - one)) <= (
+                    16 * np.finfo(float).eps * scale)
+            else:
+                assert batch[:, j].tobytes() == one.tobytes()
+
+
+def _kaplan_outcome():
+    return ode.integrate(kaplan._comparison_spec(2.0, 3, 100.0, 1e-12, 1e-13))
+
+
+def _fd_outcome():
+    return ode.integrate(fd._mol_spec(fd.FdConfig(A=20.0, N=64)))
+
+
+@pytest.mark.parametrize("run", [_kaplan_outcome, _fd_outcome])
+def test_dense_output_does_not_depend_on_the_chunks(monkeypatch, run):
+    # the stage combinations add term by term, so with an elementwise
+    # right-hand side one step per chunk gives the bits of the default
+    outcome = run()
+    t = np.linspace(outcome.times[0], outcome.times[-1], 777)
+    default = outcome.interpolate(t)
+    monkeypatch.setattr(ode, "_REDUCE_BYTES", 16 * 8 * outcome.spec.dimension)
+    assert outcome.interpolate(t).tobytes() == default.tobytes()
+
+
+def test_dense_output_chunks_of_the_coupled_run(monkeypatch):
+    # the coupled right-hand side rounds batches through BLAS (see
+    # test_rhs_column_contract), so one step per chunk agrees to a few
+    # units in the last place of each component's range
+    outcome = ode.integrate(
+        heat.assemble_coupled_system(heat.HeatScenario(A=2.0)))
+    t = heat._sample_times(outcome)
+    default = outcome.interpolate(t)
+    monkeypatch.setattr(ode, "_REDUCE_BYTES", 16 * 8 * outcome.spec.dimension)
+    single = outcome.interpolate(t)
+    scale = np.max(np.abs(default), axis=0)
+    assert np.all(np.max(np.abs(single - default), axis=0)
+                  <= 16 * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("steps_per_chunk", [None, 1, 3])
+def test_dense_output_makes_14_calls_per_chunk(monkeypatch, steps_per_chunk):
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        return y * y
+
+    outcome = ode.integrate(_spec(rhs, y0=1.0, horizon=0.9, rtol=1e-10,
+                                  atol=1e-12))
+    steps = outcome.stats.accepted
+    assert steps >= 10
+    width = ode._REDUCE_BYTES // (16 * 8)
+    if steps_per_chunk is not None:
+        width = steps_per_chunk
+        monkeypatch.setattr(ode, "_REDUCE_BYTES", 16 * 8 * width)
+    # one query inside every step
+    t = outcome.times[:-1] + 0.5 * np.diff(outcome.times)
+    calls[0] = 0
+    outcome.interpolate(t)
+    assert calls[0] == 14 * math.ceil(steps / width)
 
 
 def test_heat_blowup_rejects_few_attempts():
