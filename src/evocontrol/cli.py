@@ -44,7 +44,7 @@ def _parse_modes(text: str) -> tuple[int, ...]:
 
 
 def _add_common(sp, *, amplitudes=None, tolerances=False, modes=False,
-                horizon=None, seed=False):
+                horizon=None):
     """``amplitudes`` is "one" or "many", the number of --A a
     subcommand accepts."""
     if amplitudes:
@@ -71,8 +71,10 @@ def _add_common(sp, *, amplitudes=None, tolerances=False, modes=False,
             "--blowup-threshold", type=float, default=1e8,
             dest="blowup_threshold",
         )
-    if seed:
-        sp.add_argument("--seed", type=int, default=0)
+    _add_out(sp)
+
+
+def _add_out(sp):
     sp.add_argument(
         "--out", default=".", help="output directory (default current)"
     )
@@ -361,8 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_kaplan)
 
     sp = sub.add_parser("sobolev", help="multiplication constant bounds")
-    _add_common(sp, seed=True)
+    # the Sobolev constants do not depend on p, so the command takes none
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trials", type=int, default=10_000)
+    _add_out(sp)
     sp.set_defaults(func=cmd_sobolev)
 
     sp = sub.add_parser("picard", help="fixed-point verification run")

@@ -233,7 +233,6 @@ def as_ivp(problem: ControlProblem, rtol: float = 1e-10, atol: float = 1e-12,
         return np.reshape(out, y.shape)
 
     return ode.IvpSpec(
-        dimension=1,
         rhs=rhs,
         y0=np.array([problem.r0]),
         t0=problem.t0,

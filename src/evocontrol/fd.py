@@ -94,7 +94,6 @@ class FdRun:
 def _mol_spec(config: FdConfig) -> ode.IvpSpec:
     """Method-of-lines IVP of a configuration, from A s_1 on the grid."""
     return ode.IvpSpec(
-        dimension=config.N,
         rhs=semidiscrete_rhs(config.N, config.p),
         y0=config.A * math.sqrt(2.0 / math.pi) * np.sin(config.grid),
         t0=0.0,

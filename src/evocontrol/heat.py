@@ -180,7 +180,6 @@ def _coupled_spec(model: galerkin.GalerkinModel, scenario: HeatScenario,
     y0 = np.zeros(m + 1)
     y0[_datum_column(scenario.modes)] = scenario.A
     return ode.IvpSpec(
-        dimension=m + 1,
         rhs=_coupled_rhs(model, linear_factor),
         y0=y0,
         t0=0.0,

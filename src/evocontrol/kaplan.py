@@ -83,7 +83,6 @@ def _comparison_spec(q0: float, p: int, horizon: float, rtol: float,
         return np.array([y[0] ** p - y[0]])
 
     return ode.IvpSpec(
-        dimension=1,
         rhs=rhs,
         y0=np.array([q0]),
         t0=0.0,
@@ -142,6 +141,7 @@ def sn_iteration(q0: float, p: int, n: int, t: float,
 
     evaluated on a uniform grid with fourth-order prefix quadrature.
     """
+    check_power(p)
     if n < 0:
         raise ValueError("iteration index must be >= 0")
     if t < 0.0:

@@ -9,8 +9,9 @@ Every run is classified into one of three outcomes:
 
 * ``reached_horizon`` : the trajectory exists on the whole time window;
 * ``blow_up``         : the max-norm of the state escaped past a threshold
-  (the escape time is bracketed to 1e-6), or the controller was forced
-  below the minimum step while the state was growing;
+  (the escaping step is at most 5e-7 long, so the escape time is
+  bracketed to 1e-6), or the controller was forced below the minimum
+  step while the state was growing;
 * ``domain_exit``     : the right-hand side stopped returning finite
   values while the state was still moderate.
 
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -190,7 +190,7 @@ _FACTOR_MIN = 0.2
 _FACTOR_MAX = 5.0
 _ORDER_EXP = 0.125  # 1 / (order of the advancing solution)
 _MAX_STEPS = 20_000_000
-_BRACKET_WIDTH = 5e-7  # escape-time bracket, kept below the 1e-6 contract
+_BRACKET_WIDTH = 5e-7  # longest escaping step, kept below the 1e-6 contract
 _REDUCE_BYTES = 1 << 17  # size of the block buffer of a history reduction
 
 
@@ -198,6 +198,7 @@ _REDUCE_BYTES = 1 << 17  # size of the block buffer of a history reduction
 class IvpSpec:
     """Initial value problem plus the knobs the integrator honours.
 
+    ``y0`` is a nonempty 1-d state; its size is the ``dimension``.
     ``rhs(t, y)`` maps a state of shape (n,) at the float time t to its
     derivative of shape (n,); the dense output also calls it on states
     as the columns of an (n, S) array, with t of shape (S,), and takes
@@ -206,7 +207,6 @@ class IvpSpec:
     step below it is treated as a finite-time singularity.
     """
 
-    dimension: int
     rhs: Rhs
     y0: np.ndarray
     t0: float
@@ -218,10 +218,9 @@ class IvpSpec:
 
     def __post_init__(self):
         self.y0 = np.asarray(self.y0, dtype=float)
-        if self.y0.shape != (self.dimension,):
-            raise ValueError(
-                f"y0 has shape {self.y0.shape}, expected ({self.dimension},)"
-            )
+        if self.y0.ndim != 1 or self.y0.size == 0:
+            raise ValueError(f"y0 must be a nonempty 1-d state, got shape "
+                             f"{self.y0.shape}")
         if not (math.isfinite(self.t0) and math.isfinite(self.horizon)):
             raise ValueError("t0 and horizon must be finite")
         if not self.horizon > self.t0:
@@ -237,20 +236,26 @@ class IvpSpec:
         if not self.min_step > 0.0:
             raise ValueError("min_step must be positive")
 
+    @property
+    def dimension(self) -> int:
+        return self.y0.size
+
 
 @dataclass(frozen=True)
 class IvpStats:
     """Counters of one :func:`integrate` run.
 
-    ``accepted`` is the number of intervals of the stored grid (a
-    threshold escape adds its bracketing sub-step). ``rejected`` counts
+    ``accepted`` is the number of intervals of the stored grid, the
+    escaping step of a threshold escape included. ``rejected`` counts
     attempts whose error norm exceeded 1, ``nonfinite_retries`` attempts
-    dropped for a non-finite stage or error norm. ``rhs_calls`` includes
-    the initial evaluation, the first-step guess and the escape
-    bracketing. ``h_min``/``h_max`` are the extreme spacings of the
-    grid (nan when no step was accepted). ``termination`` is one of
-    ``horizon``, ``threshold_escape``, ``min_step_collapse`` (both kind
-    ``blow_up``) and ``nonfinite`` (kind ``domain_exit``).
+    dropped for a non-finite stage or error norm; an attempt that crossed
+    the threshold on a step too long to bracket the escape is retried on
+    half the step and counted in neither. ``rhs_calls`` includes the
+    initial evaluation and the first-step guess. ``h_min``/``h_max`` are
+    the extreme spacings of the grid (nan when no step was accepted).
+    ``termination`` is one of ``horizon``, ``threshold_escape``,
+    ``min_step_collapse`` (both kind ``blow_up``) and ``nonfinite`` (kind
+    ``domain_exit``).
     """
 
     accepted: int
@@ -266,43 +271,26 @@ class IvpStats:
 class IvpOutcome:
     """Result of :func:`integrate`.
 
-    ``times``/``states``/``derivs`` hold every accepted step (plus, for a
-    threshold escape, one final bracketing sample beyond the threshold),
-    so the outcome doubles as a dense-output object via
-    :meth:`interpolate`. ``stats`` holds the run's counters.
-
-    The history is held once: ``rows`` keeps the per-step state and
-    derivative rows the run appended, and ``states``/``derivs`` stack
-    them on first access, cache the array and release the rows.
-    ``final_state``, :meth:`interpolate`, :meth:`max_norm_history` and
-    :meth:`min_history` read the rows as they are, stacked or not.
-    Outcomes compare by identity: their fields hold arrays.
+    ``times`` is the grid of accepted steps; ``states`` and ``derivs``
+    are the lists of the state and derivative rows the run appended, one
+    per grid time. A threshold escape ends on its escaping step, so the
+    last state is the only one past the threshold. The outcome doubles
+    as a dense-output object via :meth:`interpolate`; ``stats`` holds the
+    run's counters. Outcomes compare by identity: their fields hold
+    arrays.
     """
 
     kind: str
     t_end: float
     times: np.ndarray
-    rows: dict = field(repr=False)
+    states: list = field(repr=False)
+    derivs: list = field(repr=False)
     spec: IvpSpec = field(repr=False)
     stats: IvpStats
 
-    @cached_property
-    def states(self) -> np.ndarray:
-        return np.asarray(self.rows.pop("states"))
-
-    @cached_property
-    def derivs(self) -> np.ndarray:
-        return np.asarray(self.rows.pop("derivs"))
-
-    def _history(self, name: str):
-        """The stored ``states`` or ``derivs``: the row list, or the
-        array once stacked."""
-        stacked = self.__dict__.get(name)
-        return self.rows[name] if stacked is None else stacked
-
     @property
     def final_state(self) -> np.ndarray:
-        return self._history("states")[-1]
+        return self.states[-1]
 
     def interpolate(self, t) -> np.ndarray:
         """The 7th-order DOP853 dense output on the accepted-step grid.
@@ -325,12 +313,10 @@ class IvpOutcome:
             raise OutOfDomainError(
                 f"interpolation time outside [{lo}, {hi}]"
             )
-        states = self._history("states")
         if len(times) == 1:
-            out = np.tile(states[0], (tq.size, 1))
+            out = np.tile(self.states[0], (tq.size, 1))
         else:
             tq = np.clip(tq, lo, hi)
-            derivs = self._history("derivs")
             step = np.searchsorted(times, tq, side="right") - 1
             step = np.minimum(step, len(times) - 2)
             steps, column = np.unique(step, return_inverse=True)
@@ -340,7 +326,7 @@ class IvpOutcome:
             for s in range(0, steps.size, width):
                 at = np.flatnonzero((column >= s) & (column < s + width))
                 out[at] = _dense_output(
-                    self.spec.rhs, times, states, derivs,
+                    self.spec.rhs, times, self.states, self.derivs,
                     steps[s : s + width], tq[at], column[at] - s,
                 )
         if np.isscalar(t) or np.asarray(t).ndim == 0:
@@ -349,11 +335,11 @@ class IvpOutcome:
 
     def max_norm_history(self) -> np.ndarray:
         """max |y| of every stored state."""
-        return _reduce_rows(self._history("states"), np.max, absolute=True)
+        return _reduce_rows(self.states, np.max, absolute=True)
 
     def min_history(self) -> np.ndarray:
         """Smallest entry of every stored state."""
-        return _reduce_rows(self._history("states"), np.min)
+        return _reduce_rows(self.states, np.min)
 
 
 def _reduce_rows(rows, reduce, absolute: bool = False) -> np.ndarray:
@@ -492,40 +478,15 @@ def _dense_output(rhs: Rhs, times: np.ndarray, states, derivs,
     return (out + y0[:, step]).T
 
 
-def _refine_escape(rhs: Rhs, t: float, y: np.ndarray, f: np.ndarray,
-                   h: float, threshold: float, stages):
-    """Bracket the threshold crossing inside an accepted step.
-
-    The crossing is known to occur in (t, t+h]. A single eighth-order
-    step from (t, y) is accurate over any sub-length of h, so plain
-    bisection on the sub-step end time localises the escape. Returns
-    (t_escape, y_escape, rhs_calls) with the escape state strictly past
-    the threshold and t_escape within _BRACKET_WIDTH of the true crossing.
-    """
-    lo, hi = 0.0, h
-    y_hi = None
-    calls = 0
-    while hi - lo > _BRACKET_WIDTH:
-        mid = 0.5 * (lo + hi)
-        n, y8, _ = _rk_step(rhs, t, y, f, mid, stages)
-        calls += n
-        if y8 is None or np.abs(y8).max() > threshold:
-            hi = mid
-            y_hi = y8
-        else:
-            lo = mid
-    if y_hi is None:
-        n, y8, _ = _rk_step(rhs, t, y, f, hi, stages)
-        calls += n
-        y_hi = y8 if y8 is not None else y * np.inf
-    return t + hi, y_hi, calls
-
-
 def integrate(spec: IvpSpec) -> IvpOutcome:
     """Integrate an initial value problem and classify the outcome.
 
-    Accepted steps are appended to the sample arrays as they happen; the
-    run ends at the horizon, at a bracketed blow-up, or at a domain exit.
+    Accepted steps are appended to the sample lists as they happen; the
+    run ends at the horizon, at a blow-up, or at a domain exit. An
+    accepted step that carries the max-norm past ``blowup_threshold`` ends
+    the run as a threshold escape when it is at most ``_BRACKET_WIDTH``
+    long, or when half of it would fall below ``min_step``; a longer one
+    is retried on half the step.
     A trial stage may overflow inside the RHS near a blow-up; the attempt
     is retried on a shorter step, so the run silences numpy's overflow
     and invalid-value warnings. Raises :class:`StepBudgetError` after
@@ -560,7 +521,8 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
             kind=kind,
             t_end=float(t_end),
             times=grid,
-            rows={"states": states, "derivs": derivs},
+            states=states,
+            derivs=derivs,
             spec=spec,
             stats=IvpStats(
                 accepted=steps.size,
@@ -602,26 +564,19 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
                 continue
 
             if err <= 1.0:
-                t_new = horizon if clamped else t + h
-                if np.abs(y_new).max() > threshold:
-                    t_esc, y_esc, calls = _refine_escape(
-                        rhs, t, y, f, t_new - t, threshold, stages
-                    )
-                    f_esc = np.asarray(rhs(t_esc, y_esc), dtype=float)
-                    nfev += calls + 1
-                    if not _all(_isfinite(f_esc)):
-                        f_esc = np.zeros_like(y_esc)
-                    times.append(t_esc)
-                    states.append(y_esc)
-                    derivs.append(f_esc)
-                    return _finish(BLOW_UP, t_esc, THRESHOLD_ESCAPE)
+                escaped = np.abs(y_new).max() > threshold
+                if escaped and h > _BRACKET_WIDTH and 0.5 * h >= min_step:
+                    h *= 0.5
+                    continue
                 # y_new is a fresh array; f_new may be a buffer the RHS
                 # reuses, so keep a private copy as the next step's FSAL
                 # stage
-                t, y, f = t_new, y_new, f_new.copy()
+                t, y, f = horizon if clamped else t + h, y_new, f_new.copy()
                 times.append(t)
                 states.append(y)
                 derivs.append(f)
+                if escaped:
+                    return _finish(BLOW_UP, t, THRESHOLD_ESCAPE)
                 saw_nonfinite = False
                 if err > 0.0:
                     factor = _SAFETY * err ** -_ORDER_EXP

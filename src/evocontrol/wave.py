@@ -106,6 +106,7 @@ def exact_solution_sup(values, p: int, t: float) -> float:
     f0(x + t), so the sup over x is the sup of the flow over the sampled
     datum values (translation drops out of the norm).
     """
+    check_power(p)
     values = np.asarray(values, dtype=float)
     if t < 0.0:
         raise OutOfDomainError("negative time")

@@ -131,6 +131,16 @@ def test_sobolev_subcommand(tmp_path):
     assert report["algebra"]["violations"] == 0
 
 
+def test_sobolev_rejects_a_power(tmp_path, capsys):
+    # the Sobolev constants do not depend on p: a --p is a usage error,
+    # not a flag the command ignores
+    code = _run(["sobolev", "--p", "7", "--trials", "10",
+                 "--out", str(tmp_path)])
+    assert code == cli.EXIT_USAGE
+    assert not (tmp_path / "sobolev.json").exists()
+    capsys.readouterr()
+
+
 def test_kaplan_subcommand(tmp_path):
     code = _run([
         "kaplan", "--A", "4", "--A", "0.5", "--out", str(tmp_path),

@@ -90,6 +90,8 @@ def test_every_entry_point_rejects_a_power_that_is_not_an_integer_above_one():
             lambda: control.PolynomialGrowth.pure_power(1.0, p),
             lambda: fd.FdConfig(A=1.0, p=p),
             lambda: wave.WaveDatum(sup_pos=0.5, sup_abs=1.0, p=p),
+            lambda: kaplan.sn_iteration(2.0, p, 3, 0.5),
+            lambda: wave.exact_solution_sup([0.5], p, 0.1),
         )
         for entry_point in entry_points:
             with pytest.raises(ValueError, match="integer >= 2"):

@@ -18,7 +18,6 @@ from evocontrol.errors import (
 
 def _decay_spec(rate=2.0, y0=3.0, horizon=1.0, rtol=1e-10, atol=1e-12):
     return ode.IvpSpec(
-        dimension=1,
         rhs=lambda t, y: -rate * y,
         y0=np.array([y0]),
         t0=0.0,
@@ -51,7 +50,6 @@ def test_power_blowup_times():
     for p in (2, 3, 4):
         t_star = 1.0 / ((p - 1) * r0 ** (p - 1))
         spec = ode.IvpSpec(
-            dimension=1,
             rhs=lambda t, y, p=p: y**p,
             y0=np.array([r0]),
             t0=0.0,
@@ -66,7 +64,6 @@ def test_power_blowup_times():
 
 def test_escape_is_bracketed_tightly():
     spec = ode.IvpSpec(
-        dimension=1,
         rhs=lambda t, y: y**2,
         y0=np.array([1.0]),
         t0=0.0,
@@ -77,8 +74,29 @@ def test_escape_is_bracketed_tightly():
     assert outcome.kind == ode.BLOW_UP
     assert outcome.max_norm_history()[-1] > 1e6
     assert np.all(outcome.max_norm_history()[:-1] <= 1e6)
-    # the final sample is a refinement inside the last accepted step
-    assert outcome.times[-1] - outcome.times[-2] <= 5e-7 + 1e-12
+    # the run ends on the escaping step, which is at most 5e-7 long
+    assert outcome.times[-1] - outcome.times[-2] <= 5e-7
+
+
+@pytest.mark.parametrize("horizon, longest", [(5.0, 5e-7), (1e6, 2e-6)])
+def test_long_escaping_step_is_halved(horizon, longest):
+    # y' = y^2 from 1 crosses 10 at t = 0.9, where the controller takes
+    # steps far longer than 5e-7; the crossing attempts are retried on
+    # half the step until the escaping step is at most 5e-7 long. On a
+    # window of 1e6, min_step (1e-6) exceeds that: the halving stops
+    # above min_step, and the run is still a threshold escape
+    rhs, calls = _counted(lambda t, y: y * y)
+    outcome = ode.integrate(_spec(rhs, horizon=horizon,
+                                  blowup_threshold=10.0))
+    stats = outcome.stats
+    assert stats.termination == ode.THRESHOLD_ESCAPE
+    assert stats.h_max > 1e-3
+    assert abs(outcome.t_end - 0.9) <= 1e-6
+    last = outcome.times[-1] - outcome.times[-2]
+    assert outcome.spec.min_step <= last <= longest
+    norms = outcome.max_norm_history()
+    assert norms[-1] > 10.0 and np.all(norms[:-1] <= 10.0)
+    assert stats.rhs_calls == len(calls)
 
 
 def test_tolerance_reduction_buys_accuracy():
@@ -87,7 +105,6 @@ def test_tolerance_reduction_buys_accuracy():
     # error by at least 8x on a smooth problem.
     def run(scale):
         spec = ode.IvpSpec(
-            dimension=1,
             rhs=lambda t, y: y * math.cos(t),
             y0=np.array([1.0]),
             t0=0.0,
@@ -107,7 +124,7 @@ def test_bitwise_determinism():
     a = ode.integrate(_decay_spec())
     b = ode.integrate(_decay_spec())
     assert a.times.tobytes() == b.times.tobytes()
-    assert a.states.tobytes() == b.states.tobytes()
+    assert np.asarray(a.states).tobytes() == np.asarray(b.states).tobytes()
 
 
 def test_outcomes_compare_to_a_bool():
@@ -167,8 +184,9 @@ def test_dense_output_inside_the_steps(rhs, y0, horizon, exact):
     vals = outcome.interpolate(inner)[:, 0]
     assert np.max(np.abs(vals - exact(inner)) / exact(inner)) <= 10 * rtol
     # the interpolant meets the stored samples at the grid times
-    assert np.max(np.abs(outcome.interpolate(t)[:, 0] - outcome.states[:, 0])
-                  / outcome.states[:, 0]) <= 1e-14
+    states = np.asarray(outcome.states)[:, 0]
+    assert np.max(np.abs(outcome.interpolate(t)[:, 0] - states)
+                  / states) <= 1e-14
 
 
 def _package_rhs_cases():
@@ -312,7 +330,7 @@ def test_domain_exit_on_nonfinite_rhs():
         return -y
 
     spec = ode.IvpSpec(
-        dimension=1, rhs=rhs, y0=np.array([1.0]), t0=0.0, horizon=2.0
+        rhs=rhs, y0=np.array([1.0]), t0=0.0, horizon=2.0
     )
     outcome = ode.integrate(spec)
     assert outcome.kind == ode.DOMAIN_EXIT
@@ -339,7 +357,7 @@ def test_interpolation_without_an_accepted_step():
 def test_history_reductions_match_the_stacked_states(monkeypatch):
     # max-norms and minima are taken row by row from the stored history;
     # max and min are exact, so they carry the bits of the reductions of
-    # the stacked array, before and after it is stacked
+    # the stacked array
     outcomes = []
     integrate = ode.integrate
 
@@ -350,11 +368,8 @@ def test_history_reductions_match_the_stacked_states(monkeypatch):
     monkeypatch.setattr(ode, "integrate", recording)
     run = fd.fd_single_run(fd.FdConfig(A=20.0, N=64))
     (outcome,) = outcomes
-    assert "states" in outcome.rows
-    final = outcome.final_state
-    states = outcome.states
-    assert outcome.states is states and "states" not in outcome.rows
-    assert final.tobytes() == states[-1].tobytes()
+    states = np.asarray(outcome.states)
+    assert outcome.final_state.tobytes() == states[-1].tobytes()
     norms = np.max(np.abs(states), axis=1)
     assert run.max_norms.tobytes() == norms.tobytes()
     assert outcome.max_norm_history().tobytes() == norms.tobytes()
@@ -366,7 +381,6 @@ def test_bisect_parameter_scalar_family():
     # r' = r^2 - c r with r0 = 1: the flow escapes exactly when c < 1
     def family(c):
         return ode.IvpSpec(
-            dimension=1,
             rhs=lambda t, y, c=c: y**2 - c * y,
             y0=np.array([1.0]),
             t0=0.0,
@@ -389,7 +403,6 @@ def test_norm_tail_classification():
 
     growing = ode.integrate(
         ode.IvpSpec(
-            dimension=1,
             rhs=lambda t, y: 0.3 * y,
             y0=np.array([1.0]),
             t0=0.0,
@@ -400,14 +413,14 @@ def test_norm_tail_classification():
 
 
 def test_spec_validation():
+    for y0 in (np.ones((1, 1)), np.ones(0)):
+        with pytest.raises(ValueError, match="1-d"):
+            ode.IvpSpec(rhs=lambda t, y: y, y0=y0, t0=0.0, horizon=1.0)
     with pytest.raises(ValueError):
-        ode.IvpSpec(dimension=2, rhs=lambda t, y: y, y0=np.array([1.0]),
-                    t0=0.0, horizon=1.0)
-    with pytest.raises(ValueError):
-        ode.IvpSpec(dimension=1, rhs=lambda t, y: y, y0=np.array([1.0]),
+        ode.IvpSpec(rhs=lambda t, y: y, y0=np.array([1.0]),
                     t0=1.0, horizon=1.0)
     with pytest.raises(ValueError):
-        ode.IvpSpec(dimension=1, rhs=lambda t, y: y, y0=np.array([2.0]),
+        ode.IvpSpec(rhs=lambda t, y: y, y0=np.array([2.0]),
                     t0=0.0, horizon=1.0, blowup_threshold=1.0)
 
 
@@ -416,7 +429,7 @@ def test_spec_rejects_an_infinite_window():
     # step a collapse, so a run would "blow up" at t0
     for t0, horizon in ((0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)):
         with pytest.raises(ValueError, match="finite"):
-            ode.IvpSpec(dimension=1, rhs=lambda t, y: -y, y0=np.array([1.0]),
+            ode.IvpSpec(rhs=lambda t, y: -y, y0=np.array([1.0]),
                         t0=t0, horizon=horizon)
 
 
@@ -432,7 +445,7 @@ def _counted(rhs):
 
 
 def _spec(rhs, y0=1.0, horizon=1.0, **kw):
-    return ode.IvpSpec(dimension=1, rhs=rhs, y0=np.array([y0]), t0=0.0,
+    return ode.IvpSpec(rhs=rhs, y0=np.array([y0]), t0=0.0,
                        horizon=horizon, **kw)
 
 
@@ -499,7 +512,7 @@ def test_rhs_may_reuse_its_output_buffer():
     # an RHS that writes every result into one array must give the same
     # bits as one that returns fresh arrays, through rejected attempts
     # (the next attempt starts from the stored FSAL stage) and through
-    # the escape bracketing
+    # the escaping step, whose FSAL stage is stored too
     buf = np.empty(1)
     runs = [
         ode.integrate(_spec(rhs, horizon=5.0, blowup_threshold=1e6,
@@ -512,7 +525,7 @@ def test_rhs_may_reuse_its_output_buffer():
     assert fresh.stats.termination == ode.THRESHOLD_ESCAPE
     for a, b in ((fresh.times, reused.times), (fresh.states, reused.states),
                  (fresh.derivs, reused.derivs)):
-        assert a.tobytes() == b.tobytes()
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def _run_digest(monkeypatch, fn):
@@ -548,7 +561,7 @@ def test_pinned_bits_coupled_scenario(monkeypatch):
     assert result.t_g.hex() == "0x1.8bd3eacb08d2dp-1"
     assert len(outcomes[0].times) == 151
     assert digest == (
-        "3f202b2712ba8bf245ba0d96dd971fbe77aedbeb6674172da4a5d899abd76df3")
+        "13662caa953f291a27da7f7ebf9e6206b0e9a087993da1e99d504b748d46736d")
 
 
 def test_pinned_bits_kaplan_comparison(monkeypatch):
@@ -566,7 +579,7 @@ def test_pinned_bits_fd_run(monkeypatch):
     assert run.estimate.hex() == "0x1.109eec0f884bfp-4"
     assert len(run.times) - 1 == 49
     assert digest == (
-        "83469e6939835ebd1041d707e9991c05453b13d067abdd8073c55f5bde1e6860")
+        "35d6f1095a665af77512f27e70494c8fd5a797555077df7da0885abcf527811e")
 
 
 def test_pinned_bits_critical_amplitude(monkeypatch):
@@ -575,4 +588,4 @@ def test_pinned_bits_critical_amplitude(monkeypatch):
     assert len(outcomes) == 14
     assert sum(len(o.times) for o in outcomes) == 2485
     assert digest == (
-        "46968582adbaa14618af9a065bf61946f901a0c711e98902c511554971a45b16")
+        "25dc53c92424367f0331dc4cc990bcba40df3fccdc725a78fb9a23cb67024ddf")

@@ -21,6 +21,10 @@ RUNS = {
     # the only run at p != 2, where the growth ell has three terms
     "table_p3": ["table", "--p", "3"],
     "scenario": ["scenario", "--A", "4"],
+    # a threshold the controller reaches on long steps, so the escaping
+    # step is found by halving them
+    "scenario_threshold": ["scenario", "--A", "4", "--blowup-threshold",
+                           "1000"],
     # twelve modes: where the node kernel and a Gram form over degree-p
     # monomials differ the most
     "scenario_many": ["scenario", "--A", "10", "--modes",
