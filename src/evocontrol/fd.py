@@ -66,11 +66,14 @@ def semidiscrete_rhs(N: int, p: int):
     inv_h2 = 1.0 / (h * h)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        lap = np.empty_like(y)
-        lap[0] = y[1] - 2.0 * y[0]
-        lap[-1] = y[-2] - 2.0 * y[-1]
-        lap[1:-1] = y[:-2] - 2.0 * y[1:-1] + y[2:]
-        return inv_h2 * lap + y**p
+        # (-2 y_i + y_{i-1}) + y_{i+1}: the sums of y_{i-1} - 2 y_i + y_{i+1}
+        # in their order, with zero Dirichlet values past both ends
+        lap = -2.0 * y
+        lap[1:] += y[:-1]
+        lap[:-1] += y[1:]
+        lap *= inv_h2
+        lap += y**p
+        return lap
 
     return rhs
 

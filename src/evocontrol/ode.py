@@ -25,12 +25,15 @@ stepping, and states as the columns of an (n, S) array, with times of
 shape (S,), to (n, S) in the dense output, which evaluates each stage of
 all queried steps in one call.
 
-The stepping core is allocation-light: one stage buffer per run, the
-tableau held as float constants, finiteness and norms taken by direct
-ufunc reductions. It is bit-reproducible: plain deterministic floating
-point in a fixed order, so identical inputs produce bit-identical
-accepted-step grids, which downstream code relies on for reproducible
-CSV output.
+The stepping core is allocation-light: one stage buffer per run and the
+tableau held as float constants. An attempt makes one BLAS call per
+stage combination and one per finiteness test (the dot of a row of
+zeros with the stage, finite exactly when every entry is), and takes
+|y| of the advanced state once, for the error scale, the escape test
+and the next attempt. It is bit-reproducible: plain deterministic
+floating point in a fixed order, so identical inputs produce
+bit-identical accepted-step grids, which downstream code relies on for
+reproducible CSV output.
 """
 
 from __future__ import annotations
@@ -181,8 +184,6 @@ _DENSE_STAGES = tuple(
 _D_TERMS = tuple(tuple((j, w) for j, w in enumerate(row.tolist()) if w != 0.0)
                  for row in _D)
 
-_all = np.logical_and.reduce
-_isfinite = np.isfinite
 _sum = np.add.reduce
 
 _SAFETY = 0.9
@@ -250,7 +251,7 @@ class IvpStats:
     attempts whose error norm exceeded 1, ``nonfinite_retries`` attempts
     dropped for a non-finite stage or error norm; an attempt that crossed
     the threshold on a step too long to bracket the escape is retried on
-    half the step and counted in neither. ``rhs_calls`` includes the
+    a shorter step and counted in neither. ``rhs_calls`` includes the
     initial evaluation and the first-step guess. ``h_min``/``h_max`` are
     the extreme spacings of the grid (nan when no step was accepted).
     ``termination`` is one of ``horizon``, ``threshold_escape``,
@@ -359,16 +360,17 @@ def _reduce_rows(rows, reduce, absolute: bool = False) -> np.ndarray:
     return out
 
 
-def _error_norm(stages, h: float, y_old: np.ndarray, y_new: np.ndarray,
+def _error_norm(stages, h: float, abs_old: np.ndarray, abs_new: np.ndarray,
                 rtol: float, atol: float) -> float:
     """Hairer's DOP853 error norm: the RMS of the scaled 5th-order
     estimate, damped by the 3rd-order one where that one is large,
     |h| e5^2 / sqrt(n (e5^2 + 0.01 e3^2)) with e5, e3 the Euclidean
-    norms. An overflow gives a nan or inf norm, which rejects the step."""
+    norms; ``abs_old`` and ``abs_new`` are |y| before and after the step.
+    An overflow gives a nan or inf norm, which rejects the step."""
     kt = stages[1][11]
-    scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    e5 = (kt @ _E5) / scale
-    e3 = (kt @ _E3) / scale
+    scale = atol + rtol * np.maximum(abs_old, abs_new)
+    e5 = kt.dot(_E5) / scale
+    e3 = kt.dot(_E3) / scale
     e5_sq = float(_sum(e5 * e5))
     if e5_sq == 0.0:
         return 0.0
@@ -397,10 +399,11 @@ def _initial_step(rhs: Rhs, t0: float, y0: np.ndarray, f0: np.ndarray,
 
 
 def _stage_buffer(n: int):
-    """12 x n stage rows ``k`` plus the transposed prefixes ``k[:i].T``,
-    i = 1..12, that the stage combinations of a step multiply."""
+    """12 x n stage rows ``k``, the transposed prefixes ``k[:i].T``,
+    i = 1..12, that the stage combinations of a step multiply, and a row
+    of n zeros for the finiteness tests."""
     k = np.empty((12, n))
-    return k, tuple(k[:i].T for i in range(1, 13))
+    return k, tuple(k[:i].T for i in range(1, 13)), np.zeros(n)
 
 
 def _rk_step(rhs: Rhs, t: float, y: np.ndarray, f: np.ndarray, h: float,
@@ -410,20 +413,22 @@ def _rk_step(rhs: Rhs, t: float, y: np.ndarray, f: np.ndarray, h: float,
     Returns ``(calls, y8, f_new)``, where ``calls`` counts the RHS
     evaluations made; stages 0-11 stay in the buffer for the error norm.
     ``y8`` is None when a stage or the advanced state is non-finite; the
-    attempt stops at the first such stage.
+    attempt stops at the first such stage. A vector v is finite exactly
+    when 0 . v is: 0 x is +-0 for every finite x and nan for +-inf and
+    nan, so the one dot product tests every entry and cannot overflow.
     """
-    k, kt = stages
+    k, kt, zero = stages
     k[0] = f
     for i in range(1, 12):
-        ki = rhs(t + _C[i] * h, y + h * (kt[i - 1] @ _ROWS[i]))
-        if not _all(_isfinite(ki)):
+        ki = rhs(t + _C[i] * h, y + h * kt[i - 1].dot(_ROWS[i]))
+        if not math.isfinite(zero.dot(ki)):
             return i, None, None
         k[i] = ki
-    y8 = y + h * (kt[11] @ _B)
-    if not _all(_isfinite(y8)):
+    y8 = y + h * kt[11].dot(_B)
+    if not math.isfinite(zero.dot(y8)):
         return 11, None, None
     f_new = rhs(t + h, y8)
-    if not _all(_isfinite(f_new)):
+    if not math.isfinite(zero.dot(f_new)):
         return 12, None, None
     return 12, y8, f_new
 
@@ -485,8 +490,12 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
     run ends at the horizon, at a blow-up, or at a domain exit. An
     accepted step that carries the max-norm past ``blowup_threshold`` ends
     the run as a threshold escape when it is at most ``_BRACKET_WIDTH``
-    long, or when half of it would fall below ``min_step``; a longer one
-    is retried on half the step.
+    long, or when half of it would fall below ``min_step``. A longer one
+    is retried on the step to the chord estimate of the crossing, at
+    most half of it and at least ``min_step`` and half of
+    ``_BRACKET_WIDTH``; after that, no step reaches past half of the rest
+    of the crossing attempt until the escape is stored or the run passes
+    the attempt's end without crossing.
     A trial stage may overflow inside the RHS near a blow-up; the attempt
     is retried on a shorter step, so the run silences numpy's overflow
     and invalid-value warnings. Raises :class:`StepBudgetError` after
@@ -496,7 +505,7 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
     t = float(spec.t0)
     y = spec.y0.astype(float)
     f = np.array(rhs(t, y), dtype=float)
-    if not _all(_isfinite(f)):
+    if not np.all(np.isfinite(f)):
         raise ValueError("rhs is not finite at the initial point")
 
     times = [t]
@@ -508,11 +517,16 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
     min_step = spec.min_step
     rtol, atol = spec.rtol, spec.atol
     stages = _stage_buffer(y.size)
+    abs_y = np.abs(y)
     nfev = 2
     rejected = retries = 0
     saw_nonfinite = False
     # the last accepted step and its error norm, for Gustafsson's factor
     h_prev = err_prev = 0.0
+    # the end of the last attempt that crossed the threshold on a step
+    # too long to bracket the escape, and the shortest step toward it
+    t_over = math.inf
+    h_floor = max(0.5 * _BRACKET_WIDTH, min_step)
 
     def _finish(kind: str, t_end: float, termination: str) -> IvpOutcome:
         grid = np.asarray(times)
@@ -546,7 +560,7 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
                 clamped = True
 
             if h < min_step:
-                if saw_nonfinite and np.abs(y).max() <= 0.5 * threshold:
+                if saw_nonfinite and abs_y.max() <= 0.5 * threshold:
                     return _finish(DOMAIN_EXIT, t, NONFINITE)
                 return _finish(BLOW_UP, t, MIN_STEP_COLLAPSE)
 
@@ -557,21 +571,30 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
                 retries += 1
                 h *= 0.25
                 continue
-            err = _error_norm(stages, h, y, y_new, rtol, atol)
+            abs_new = np.abs(y_new)
+            err = _error_norm(stages, h, abs_y, abs_new, rtol, atol)
             if not math.isfinite(err):
                 retries += 1
                 h *= 0.25
                 continue
 
             if err <= 1.0:
-                escaped = np.abs(y_new).max() > threshold
+                m_new = abs_new.max()
+                escaped = m_new > threshold
                 if escaped and h > _BRACKET_WIDTH and 0.5 * h >= min_step:
-                    h *= 0.5
+                    # retry on the chord estimate of the crossing, the
+                    # max-norm interpolated linearly over the step, kept
+                    # within [h_floor, h / 2]
+                    t_over = t + h
+                    m_old = abs_y.max()
+                    theta = (threshold - m_old) / (m_new - m_old)
+                    h = max(min(theta, 0.5) * h, h_floor)
                     continue
                 # y_new is a fresh array; f_new may be a buffer the RHS
                 # reuses, so keep a private copy as the next step's FSAL
                 # stage
                 t, y, f = horizon if clamped else t + h, y_new, f_new.copy()
+                abs_y = abs_new
                 times.append(t)
                 states.append(y)
                 derivs.append(f)
@@ -589,6 +612,12 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
                     factor = _FACTOR_MAX
                 h_prev, err_prev = h, err
                 h *= min(_FACTOR_MAX, max(_FACTOR_MIN, factor))
+                # until the escape, no step reaches past half of the rest
+                # of the last crossing attempt; a run that passed its end
+                # without crossing drops the cap
+                if t >= t_over:
+                    t_over = math.inf
+                h = min(h, max(0.5 * (t_over - t), h_floor))
             else:
                 rejected += 1
                 factor = _SAFETY * err ** -_ORDER_EXP

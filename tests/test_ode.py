@@ -81,10 +81,11 @@ def test_escape_is_bracketed_tightly():
 @pytest.mark.parametrize("horizon, longest", [(5.0, 5e-7), (1e6, 2e-6)])
 def test_long_escaping_step_is_halved(horizon, longest):
     # y' = y^2 from 1 crosses 10 at t = 0.9, where the controller takes
-    # steps far longer than 5e-7; the crossing attempts are retried on
-    # half the step until the escaping step is at most 5e-7 long. On a
-    # window of 1e6, min_step (1e-6) exceeds that: the halving stops
-    # above min_step, and the run is still a threshold escape
+    # steps far longer than 5e-7; a crossing attempt is retried on at
+    # most half the step, and no later step reaches past half of the
+    # rest of it, until the escaping step is at most 5e-7 long. On a
+    # window of 1e6, min_step (1e-6) exceeds that: the retries stop at
+    # min_step, and the run is still a threshold escape
     rhs, calls = _counted(lambda t, y: y * y)
     outcome = ode.integrate(_spec(rhs, horizon=horizon,
                                   blowup_threshold=10.0))
@@ -97,6 +98,10 @@ def test_long_escaping_step_is_halved(horizon, longest):
     norms = outcome.max_norm_history()
     assert norms[-1] > 10.0 and np.all(norms[:-1] <= 10.0)
     assert stats.rhs_calls == len(calls)
+    # a run that forgot each retry and grew the step past the crossing
+    # again made 578 calls at horizon 5; a bisection by RK sub-steps of
+    # the crossing step made 435
+    assert stats.rhs_calls <= 435
 
 
 def test_tolerance_reduction_buys_accuracy():
@@ -506,6 +511,82 @@ def test_nonfinite_middle_stage_is_rejected_early():
     assert stats.rhs_calls == 2 + 2 + 12 * (stats.accepted + stats.rejected)
     assert outcome.kind == ode.REACHED_HORIZON
     assert abs(outcome.final_state[0] - math.exp(-1.0)) <= 1e-9
+
+
+def test_escape_on_a_concave_norm_keeps_its_bracket():
+    # y' = cos t from 0 crosses 0.9 at asin(0.9) with a concave norm, so
+    # the chord estimate lies past the crossing and the retries approach
+    # it from below, on steps capped at half the rest of the last
+    # crossing attempt. It makes 302 calls; a run that forgot each retry
+    # made 566, one that retried on the chord without the cap 710
+    rhs, calls = _counted(lambda t, y: np.cos(t) + 0.0 * y)
+    outcome = ode.integrate(_spec(rhs, y0=0.0, horizon=10.0,
+                                  blowup_threshold=0.9))
+    assert outcome.stats.termination == ode.THRESHOLD_ESCAPE
+    assert outcome.times[-1] - outcome.times[-2] <= 5e-7
+    assert abs(outcome.t_end - math.asin(0.9)) <= 1e-6
+    norms = outcome.max_norm_history()
+    assert norms[-1] > 0.9 and np.all(norms[:-1] <= 0.9)
+    assert outcome.stats.rhs_calls == len(calls) <= 320
+
+
+def test_unconfirmed_crossing_releases_the_step_cap(monkeypatch):
+    # y' = 0 from 1 takes 12 calls per attempt, each step 5 times the
+    # last. Attempt k, the first longer than 0.01, sees y' = 100 in all
+    # its stages and in its FSAL stage, so it crosses 2 with a zero error
+    # estimate; no later step crosses. Once the run passes the end of
+    # that attempt, its steps grow again instead of staying at 2.5e-7
+    monkeypatch.setattr(ode, "_MAX_STEPS", 20_000)
+    grid = ode.integrate(_spec(lambda t, y: 0.0 * y)).times
+    k = int(np.argmax(np.diff(grid) > 0.01))
+    spike = range(1 + 12 * k, 14 + 12 * k)
+    rhs, calls = _counted(
+        lambda t, y: 100.0 + 0.0 * y if len(calls) - 1 in spike else 0.0 * y)
+    outcome = ode.integrate(_spec(rhs, blowup_threshold=2.0))
+    assert outcome.kind == ode.REACHED_HORIZON
+    assert outcome.final_state[0] < 2.0
+    assert outcome.stats.h_max > 0.1
+
+
+def _wide_first_attempt(poison):
+    """Runs y' = -y on 512 entries twice: clean, and with ``poison``
+    applied to stage 2 of the first attempt. Returns the first step of
+    the clean run, the call times of both runs and the poisoned run."""
+    y0 = np.linspace(0.5, 1.5, 512)
+    clean, clean_calls = _counted(lambda t, y: -y)
+    first = ode.integrate(ode.IvpSpec(rhs=clean, y0=y0, t0=0.0, horizon=1.0))
+    t_bad = clean_calls[3]
+
+    def poisoned(t, y):
+        return poison(-y) if t == t_bad else -y
+
+    rhs, calls = _counted(poisoned)
+    outcome = ode.integrate(ode.IvpSpec(rhs=rhs, y0=y0, t0=0.0, horizon=1.0))
+    assert outcome.kind == ode.REACHED_HORIZON
+    assert np.max(np.abs(outcome.final_state - y0 * math.exp(-1.0))) <= 1e-9
+    return first.times[1], clean_calls, calls, outcome
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_nonfinite_entry_of_a_wide_stage_is_rejected_at_that_stage(bad):
+    def poison(k):
+        k[300] = bad
+        return k
+
+    h, clean_calls, calls, outcome = _wide_first_attempt(poison)
+    assert calls[:4] == clean_calls[:4]
+    # the next call is stage 1 of a new attempt with h quartered
+    assert calls[4] == 0.05260015195876773 * (h * 0.25)
+    assert outcome.stats.nonfinite_retries == 1
+
+
+def test_huge_finite_stage_is_not_flagged():
+    # a stage of 512 entries of 1e300 is finite, though their squares are
+    # not: the attempt goes on to stage 3 at the clean run's time
+    _, clean_calls, calls, outcome = _wide_first_attempt(
+        lambda k: np.full_like(k, 1e300))
+    assert calls[:5] == clean_calls[:5]
+    assert outcome.stats.nonfinite_retries == 0
 
 
 def test_rhs_may_reuse_its_output_buffer():

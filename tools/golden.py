@@ -22,7 +22,7 @@ RUNS = {
     "table_p3": ["table", "--p", "3"],
     "scenario": ["scenario", "--A", "4"],
     # a threshold the controller reaches on long steps, so the escaping
-    # step is found by halving them
+    # step is found by shortening the step that crossed it
     "scenario_threshold": ["scenario", "--A", "4", "--blowup-threshold",
                            "1000"],
     # twelve modes: where the node kernel and a Gram form over degree-p
