@@ -61,6 +61,7 @@ from .ode import (
     BLOW_UP,
     DOMAIN_EXIT,
     REACHED_HORIZON,
+    STOPPED,
     IvpOutcome,
     IvpSpec,
     bisect_parameter,
@@ -115,6 +116,7 @@ __all__ = [
     "QuadratureError",
     "REACHED_HORIZON",
     "SPEC_VERSION",
+    "STOPPED",
     "ScenarioResult",
     "SemigroupEstimator",
     "StepBudgetError",

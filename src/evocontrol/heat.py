@@ -24,7 +24,8 @@ Amplitude thresholds, all computed rather than hard-coded:
 * ``C_K``: ``Q(A s_1) = A / C_K`` with Q the ground-mode projection, so
   the blow-up criterion applies for A > C_K;
 * :func:`critical_amplitude`: the reduced system's own global-existence
-  threshold, located by bisection;
+  threshold, located by bisection over runs that stop once an escape or
+  settling certificate decides them;
 * :func:`rescaled_limit`: the escape time of the amplitude-free limit
   system, i.e. the coefficient in t_g ~ const/A.
 """
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -174,8 +175,11 @@ def _coupled_rhs(model: galerkin.GalerkinModel, linear_factor: float):
 
 
 def _coupled_spec(model: galerkin.GalerkinModel, scenario: HeatScenario,
-                  linear_factor: float = 1.0) -> ode.IvpSpec:
-    """The (a, R) IVP of a scenario, from a = A on mode 1, R = 0."""
+                  linear_factor: float = 1.0,
+                  stop: Callable[[float, np.ndarray], bool] | None = None,
+                  ) -> ode.IvpSpec:
+    """The (a, R) IVP of a scenario, from a = A on mode 1, R = 0, ended
+    early where ``stop`` holds (:class:`evocontrol.ode.IvpSpec`)."""
     m = len(scenario.modes)
     y0 = np.zeros(m + 1)
     y0[_datum_column(scenario.modes)] = scenario.A
@@ -187,6 +191,7 @@ def _coupled_spec(model: galerkin.GalerkinModel, scenario: HeatScenario,
         rtol=scenario.rtol,
         atol=scenario.atol,
         blowup_threshold=scenario.blowup_threshold,
+        stop=stop,
     )
 
 
@@ -284,16 +289,57 @@ def critical_amplitude(p: int = 2, modes: Sequence[int] = (1, 3),
                        atol: float = 1e-12) -> float:
     """Amplitude threshold separating settled runs from escaping ones,
     located by bisection over A in [CRITICAL_LO, CRITICAL_HI] to within
-    CRITICAL_TOL at the given horizon."""
+    CRITICAL_TOL at the given horizon.
+
+    Each run of the coupled (a, R) system stops at the first accepted
+    step T where one of two certificates of that system decides it, with
+    U = B = P = 1, M = ||phi|| + R and eps = eps_hat(a) >= 0:
+
+    * escape, when R(T) > 1 and T + kaplan_time(R(T), p) < horizon.
+      ell(R) = (||phi|| + R)^p - ||phi||^p >= R^p, so R' >= R^p - R, and
+      R escapes no later than the comparison S' = S^p - S from
+      S(T) = R(T), whose escape time is T + kaplan_time(R(T), p);
+    * settled, when M(T) < 2^(-1/(2(p-1))), which is 1/sqrt(2) at p = 2.
+      The modes are eigenfunctions with eigenvalues -k^2 <= -1, so
+      d||phi||/dt <= -||phi|| + ||Pi phi^p||, and
+      R' = eps + M^p - ||phi||^p - R with eps = ||(I - Pi) phi^p||. Sine
+      spans are H1-orthogonal, so ||Pi f|| + ||(I - Pi) f|| <= sqrt(2)||f||,
+      and ||phi^p|| <= ||phi||^p <= M^p. Together
+      M' <= -M + sqrt(2) M^p, which is negative below that level, so M
+      only decreases from there on and the run settles.
+
+    The two regions are disjoint (R > 1 against M < 1), so a stopped run
+    escapes exactly when its last state meets the escape certificate. A
+    run that no certificate stops keeps the heuristic verdict of
+    :func:`evocontrol.ode.norm_nonincreasing_tail`. A stopped history is
+    a prefix of the unstopped run. On a horizon too short for the runs to
+    settle, the heuristic may call a certified settling run escaping,
+    since R can still be rising; the certified verdict is the one kept."""
+
+    def escapes(t: float, y: np.ndarray) -> bool:
+        R = y[-1]
+        return R > 1.0 and t + kaplan_time(R, p) < horizon
 
     def family(A: float) -> ode.IvpSpec:
-        return assemble_coupled_system(HeatScenario(
+        scenario = HeatScenario(
             A=A, p=p, modes=modes, horizon=horizon, rtol=rtol, atol=atol
-        ))
+        )
+        model = galerkin.build_model(scenario.modes, p)
+        norm = model.basis.norm
+        settled = 2.0 ** (-0.5 / (p - 1))
+
+        def certified(t: float, y: np.ndarray) -> bool:
+            return escapes(t, y) or norm(y[:-1]) + y[-1] < settled
+
+        return _coupled_spec(model, scenario, stop=certified)
+
+    def classify(outcome: ode.IvpOutcome) -> bool:
+        if outcome.kind == ode.STOPPED:
+            return escapes(outcome.t_end, outcome.final_state)
+        return not ode.norm_nonincreasing_tail(outcome)
 
     return ode.bisect_parameter(
-        family, CRITICAL_LO, CRITICAL_HI, CRITICAL_TOL,
-        classify=lambda outcome: not ode.norm_nonincreasing_tail(outcome),
+        family, CRITICAL_LO, CRITICAL_HI, CRITICAL_TOL, classify=classify
     )
 
 

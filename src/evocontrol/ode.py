@@ -5,7 +5,7 @@ Dormand-Prince 8(5,3) pair of DOP853 (Hairer, Norsett & Wanner, Solving
 ODEs I, II.5-II.6): an 8th-order advancing solution, Hairer's combined
 5th/3rd-order error estimate, Gustafsson's predictive step-size control
 (Hairer & Wanner, Solving ODEs II, IV.8) and a 7th-order dense output.
-Every run is classified into one of three outcomes:
+Every run is classified into one of four outcomes:
 
 * ``reached_horizon`` : the trajectory exists on the whole time window;
 * ``blow_up``         : the max-norm of the state escaped past a threshold
@@ -13,7 +13,11 @@ Every run is classified into one of three outcomes:
   bracketed to 1e-6), or the controller was forced below the minimum
   step while the state was growing;
 * ``domain_exit``     : the right-hand side stopped returning finite
-  values while the state was still moderate.
+  values while the state was still moderate;
+* ``stopped``         : the spec's ``stop`` predicate held at an accepted
+  step, typically because a certificate already decides the run. Every
+  other decision of the engine ignores the predicate, so the history of
+  a stopped run is a bit-identical prefix of the run without it.
 
 Each outcome carries an :class:`IvpStats` record: step and RHS-call
 counters, the step-size range and the termination reason, which tells
@@ -52,6 +56,7 @@ Rhs = Callable[[float | np.ndarray, np.ndarray], np.ndarray]
 REACHED_HORIZON = "reached_horizon"
 BLOW_UP = "blow_up"
 DOMAIN_EXIT = "domain_exit"
+STOPPED = "stopped"  # both the kind and the termination of a stopped run
 
 # why a run stopped (IvpStats.termination); finer than the outcome kind
 HORIZON = "horizon"
@@ -205,7 +210,10 @@ class IvpSpec:
     as the columns of an (n, S) array, with t of shape (S,), and takes
     column j of the (n, S) result as the derivative of column j.
     ``min_step`` defaults to 1e-12 times the window length; an accepted
-    step below it is treated as a finite-time singularity.
+    step below it is treated as a finite-time singularity. ``stop(t, y)``,
+    when given, is asked after each accepted step that did not escape,
+    with the step's end time and state; when it returns true, the run
+    ends there as ``stopped``.
     """
 
     rhs: Rhs
@@ -216,6 +224,7 @@ class IvpSpec:
     atol: float = 1e-12
     blowup_threshold: float = 1e8
     min_step: float | None = None
+    stop: Callable[[float, np.ndarray], bool] | None = None
 
     def __post_init__(self):
         self.y0 = np.asarray(self.y0, dtype=float)
@@ -255,8 +264,8 @@ class IvpStats:
     initial evaluation and the first-step guess. ``h_min``/``h_max`` are
     the extreme spacings of the grid (nan when no step was accepted).
     ``termination`` is one of ``horizon``, ``threshold_escape``,
-    ``min_step_collapse`` (both kind ``blow_up``) and ``nonfinite`` (kind
-    ``domain_exit``).
+    ``min_step_collapse`` (both kind ``blow_up``), ``nonfinite`` (kind
+    ``domain_exit``) and ``stopped`` (kind ``stopped``).
     """
 
     accepted: int
@@ -487,15 +496,18 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
     """Integrate an initial value problem and classify the outcome.
 
     Accepted steps are appended to the sample lists as they happen; the
-    run ends at the horizon, at a blow-up, or at a domain exit. An
-    accepted step that carries the max-norm past ``blowup_threshold`` ends
-    the run as a threshold escape when it is at most ``_BRACKET_WIDTH``
-    long, or when half of it would fall below ``min_step``. A longer one
-    is retried on the step to the chord estimate of the crossing, at
-    most half of it and at least ``min_step`` and half of
-    ``_BRACKET_WIDTH``; after that, no step reaches past half of the rest
-    of the crossing attempt until the escape is stored or the run passes
-    the attempt's end without crossing.
+    run ends at the horizon, at a blow-up, at a domain exit, or at the
+    first accepted step, not escaping, whose end satisfies ``spec.stop``.
+    The threshold and ``stop`` are tested only at the ends of accepted
+    steps, so a max-norm that crosses the threshold and falls back within
+    one step is not seen. An accepted step that carries the max-norm past
+    ``blowup_threshold`` ends the run as a threshold escape when it is at
+    most ``_BRACKET_WIDTH`` long, or when half of it would fall below
+    ``min_step``. A longer one is retried on the step to the chord
+    estimate of the crossing, at most half of it and at least ``min_step``
+    and half of ``_BRACKET_WIDTH``; after that, no step reaches past half
+    of the rest of the crossing attempt until the escape is stored or the
+    run passes the attempt's end without crossing.
     A trial stage may overflow inside the RHS near a blow-up; the attempt
     is retried on a shorter step, so the run silences numpy's overflow
     and invalid-value warnings. Raises :class:`StepBudgetError` after
@@ -513,6 +525,7 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
     derivs = [f]
 
     horizon = spec.horizon
+    stop = spec.stop
     threshold = spec.blowup_threshold
     min_step = spec.min_step
     rtol, atol = spec.rtol, spec.atol
@@ -600,6 +613,8 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
                 derivs.append(f)
                 if escaped:
                     return _finish(BLOW_UP, t, THRESHOLD_ESCAPE)
+                if stop is not None and stop(t, y):
+                    return _finish(STOPPED, t, STOPPED)
                 saw_nonfinite = False
                 if err > 0.0:
                     factor = _SAFETY * err ** -_ORDER_EXP

@@ -1,12 +1,13 @@
 """Coupled trajectory-plus-radius runs for the Dirichlet reaction problem."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from evocontrol import control, galerkin, heat, ode
+from evocontrol import control, galerkin, heat, kaplan, ode
 
 
 def test_datum_norm_and_basic_bounds():
@@ -63,6 +64,76 @@ def test_settled_runs_below_critical_amplitude():
     )
     assert result.outcome_kind == ode.REACHED_HORIZON
     assert result.trajectory.norm_phi[-1] <= 1e-6
+
+
+@pytest.mark.parametrize("kw, value", [
+    ({}, "0x1.0e93fffffffffp+0"),
+    ({"p": 3}, "0x1.1c5c000000000p+0"),
+    ({"modes": (1, 3, 5)}, "0x1.1f9f333333333p+0"),
+    # most runs reach this horizon undecided and keep the tail heuristic
+    ({"horizon": 2.0}, "0x1.04bc000000000p+0"),
+])
+def test_certified_stops_are_prefixes_of_the_full_runs(monkeypatch, kw,
+                                                       value):
+    # a bisection run stopped by a certificate is a prefix of the full
+    # run of the same spec without the predicate, and the tail heuristic
+    # on the full run agrees with the certified verdict
+    verdicts = []
+    bisect = ode.bisect_parameter
+
+    def recording(family, lo, hi, tol, classify):
+        def noted(outcome):
+            verdicts.append((outcome, classify(outcome)))
+            return verdicts[-1][1]
+
+        return bisect(family, lo, hi, tol, classify=noted)
+
+    monkeypatch.setattr(ode, "bisect_parameter", recording)
+    assert heat.critical_amplitude(**kw).hex() == value
+    assert len(verdicts) == 14
+    assert any(run.kind == ode.STOPPED for run, _ in verdicts)
+    for run, verdict in verdicts:
+        full = ode.integrate(dataclasses.replace(run.spec, stop=None))
+        n = len(run.times)
+        assert (len(full.times) > n) == (run.kind == ode.STOPPED)
+        for a, b in ((run.times, full.times), (run.states, full.states),
+                     (run.derivs, full.derivs)):
+            assert np.asarray(a).tobytes() == np.asarray(b[:n]).tobytes()
+        assert verdict == (not ode.norm_nonincreasing_tail(full))
+
+
+def _full_run(A):
+    scenario = heat.HeatScenario(A=A)
+    model = galerkin.build_model(scenario.modes, scenario.p)
+    outcome = ode.integrate(heat.assemble_coupled_system(scenario))
+    states = np.asarray(outcome.states)
+    return outcome, states[:, -1], model.basis.norm(states[:, :-1])
+
+
+@pytest.mark.parametrize("A", [1.0577, 1.1, 1.6, 4.0])
+def test_escape_certificate_bounds_every_escaping_run(A):
+    # R' >= R^2 - R, so from any accepted T with R(T) > 1 the run escapes
+    # no later than the comparison S' = S^2 - S from S(T) = R(T)
+    outcome, radius, _ = _full_run(A)
+    assert outcome.kind == ode.BLOW_UP
+    past = radius > 1.0
+    assert np.any(past)
+    for T, R in zip(outcome.times[past], radius[past]):
+        assert outcome.t_end <= T + kaplan.kaplan_time(R, 2)
+
+
+@pytest.mark.parametrize("A", [0.7, 1.046])
+def test_settled_certificate_makes_the_bound_nonincreasing(A):
+    # M = ||phi|| + R obeys M' <= -M + sqrt(2) M^2, negative below
+    # 1/sqrt(2): once M drops below that level it never rises again, up
+    # to the integrator's absolute noise floor
+    outcome, radius, norm_phi = _full_run(A)
+    assert outcome.kind == ode.REACHED_HORIZON
+    bound = norm_phi + radius
+    below = np.flatnonzero(bound < 2.0 ** -0.5)
+    assert below.size
+    tail = bound[below[0]:]
+    assert np.all(np.diff(tail) <= 100.0 * outcome.spec.atol)
 
 
 def test_rescaled_amplitude_consistency():

@@ -467,6 +467,8 @@ def _nan_after_half(t, y):
         (lambda t, y: y**2, {"horizon": 5.0, "min_step": 1e-3},
          ode.BLOW_UP, ode.MIN_STEP_COLLAPSE),
         (_nan_after_half, {"horizon": 2.0}, ode.DOMAIN_EXIT, ode.NONFINITE),
+        (lambda t, y: -2.0 * y, {"stop": lambda t, y: y[0] < 0.5},
+         ode.STOPPED, ode.STOPPED),
     ],
 )
 def test_stats_count_the_run(rhs, kw, kind, termination):
@@ -480,10 +482,49 @@ def test_stats_count_the_run(rhs, kw, kind, termination):
     steps = np.diff(outcome.times)
     assert stats.h_min == steps.min() and stats.h_max == steps.max()
     assert (stats.nonfinite_retries > 0) == (termination == ode.NONFINITE)
+    assert outcome.t_end == outcome.times[-1]
     if termination == ode.HORIZON:
         # no escape bracketing: twelve fresh stages per attempt after the
         # initial evaluation and the first-step guess
         assert stats.rhs_calls == 2 + 12 * (stats.accepted + stats.rejected)
+
+
+@pytest.mark.parametrize("rhs, kw", [
+    (lambda t, y: -2.0 * y, {}),
+    # a threshold escape that shortens its crossing step
+    (lambda t, y: y * y, {"horizon": 5.0, "blowup_threshold": 1e6}),
+])
+def test_stop_is_asked_on_every_step_that_did_not_escape(rhs, kw):
+    asked = []
+
+    def never(t, y):
+        asked.append((t, y))
+        return False
+
+    plain = ode.integrate(_spec(rhs, **kw))
+    watched = ode.integrate(_spec(rhs, stop=never, **kw))
+    for a, b in ((plain.times, watched.times), (plain.states, watched.states),
+                 (plain.derivs, watched.derivs)):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    assert watched.stats == plain.stats
+    assert (watched.kind, watched.t_end) == (plain.kind, plain.t_end)
+    # the escaping step is never asked
+    last = -1 if plain.kind == ode.BLOW_UP else None
+    assert [t for t, _ in asked] == plain.times[1:last].tolist()
+    assert all(y is x for (_, y), x in zip(asked, watched.states[1:]))
+
+
+def test_a_stopped_run_is_a_prefix_of_the_full_run():
+    full = ode.integrate(_spec(lambda t, y: y * y, horizon=5.0))
+    stopped = ode.integrate(_spec(lambda t, y: y * y, horizon=5.0,
+                                  stop=lambda t, y: y[0] > 2.0))
+    n = len(stopped.times)
+    assert stopped.stats.termination == ode.STOPPED
+    assert stopped.final_state[0] > 2.0
+    assert np.all(np.asarray(stopped.states[:-1]) <= 2.0)
+    assert stopped.times.tobytes() == full.times[:n].tobytes()
+    assert (np.asarray(stopped.states).tobytes()
+            == np.asarray(full.states[:n]).tobytes())
 
 
 def test_nonfinite_middle_stage_is_rejected_early():
@@ -667,6 +708,8 @@ def test_pinned_bits_critical_amplitude(monkeypatch):
     value, outcomes, digest = _run_digest(monkeypatch, heat.critical_amplitude)
     assert value.hex() == "0x1.0e93fffffffffp+0"
     assert len(outcomes) == 14
-    assert sum(len(o.times) for o in outcomes) == 2485
+    # each run ends where a certificate decides it
+    assert all(o.kind == ode.STOPPED for o in outcomes)
+    assert sum(len(o.times) for o in outcomes) == 743
     assert digest == (
-        "25dc53c92424367f0331dc4cc990bcba40df3fccdc725a78fb9a23cb67024ddf")
+        "3f12b0902e34ae06d733d34ab901a4450284a346c8e388941f73d0f7459f15d6")
