@@ -1,8 +1,8 @@
 """Where does global existence end?
 
 Brackets the threshold amplitude by bisection: below it the two-mode
-trajectory settles, above it the tube radius escapes before the
-horizon. The norm-based sufficient condition gives sqrt(2)/2 = 0.707,
+trajectory settles, above it the tube radius passes 1, after which
+R' >= R^2 - R > 0 drives it to escape in finite time. The norm-based sufficient condition gives sqrt(2)/2 = 0.707,
 so anything the computation certifies above that is new information.
 """
 

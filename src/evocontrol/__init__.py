@@ -64,7 +64,6 @@ from .ode import (
     STOPPED,
     IvpOutcome,
     IvpSpec,
-    bisect_parameter,
     integrate,
 )
 from .picard import (
@@ -125,7 +124,6 @@ __all__ = [
     "algebra_property_test",
     "basic_bounds",
     "best_ratio",
-    "bisect_parameter",
     "build_model",
     "comparison_blowup_time",
     "comparison_solution",

@@ -153,15 +153,13 @@ def cmd_scenario(args) -> int:
 
 def cmd_critical(args) -> int:
     value = heat.critical_amplitude(
-        p=args.p, modes=args.modes, horizon=args.horizon,
-        rtol=args.rtol, atol=args.atol,
+        p=args.p, modes=args.modes, rtol=args.rtol, atol=args.atol,
     )
     record = {
         "spec_version": SPEC_VERSION,
         "kind": "critical_amplitude",
         "p": args.p,
         "modes": list(args.modes),
-        "horizon": args.horizon,
         "value": value,
         "bisection_tol": heat.CRITICAL_TOL,
     }
@@ -351,7 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_scenario)
 
     sp = sub.add_parser("critical", help="bisect the critical amplitude")
-    _add_common(sp, tolerances=True, modes=True, horizon=50.0)
+    # each run ends on a certificate, so no horizon or threshold applies
+    _add_common(sp, modes=True)
+    sp.add_argument("--rtol", type=float, default=1e-10)
+    sp.add_argument("--atol", type=float, default=1e-12)
     sp.set_defaults(func=cmd_critical)
 
     sp = sub.add_parser("limit", help="amplitude-rescaled limit system")

@@ -24,8 +24,8 @@ Amplitude thresholds, all computed rather than hard-coded:
 * ``C_K``: ``Q(A s_1) = A / C_K`` with Q the ground-mode projection, so
   the blow-up criterion applies for A > C_K;
 * :func:`critical_amplitude`: the reduced system's own global-existence
-  threshold, located by bisection over runs that stop once an escape or
-  settling certificate decides them;
+  threshold, located by bisection over runs that each end on an escape
+  or a settling certificate;
 * :func:`rescaled_limit`: the escape time of the amplitude-free limit
   system, i.e. the coefficient in t_g ~ const/A.
 """
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import galerkin, ode
 from .control import check_power, power_growth, tn_closed
-from .errors import EvocontrolError
+from .errors import BracketError, EvocontrolError
 from .kaplan import kaplan_time
 from .records import SPEC_VERSION, ext_pair, write_csv
 from .records import write_json  # noqa: F401  (re-exported for callers)
@@ -57,10 +57,13 @@ U = B = P = 1.0
 _UNIFORM_SAMPLES = 512
 _REFINE_SAMPLES = 48
 
-# bisection bracket and tolerance of critical_amplitude
+# bisection bracket and tolerance of critical_amplitude, and the time
+# by which a certificate must decide each of its runs (at the defaults
+# the last one does at t = 8.44)
 CRITICAL_LO = 0.7
 CRITICAL_HI = 1.6
 CRITICAL_TOL = 2e-4
+CRITICAL_BACKSTOP = 1e4
 
 
 @dataclass(frozen=True)
@@ -285,20 +288,17 @@ def table_rows(amplitudes: Sequence[float], p: int = 2,
 
 
 def critical_amplitude(p: int = 2, modes: Sequence[int] = (1, 3),
-                       horizon: float = 50.0, rtol: float = 1e-10,
-                       atol: float = 1e-12) -> float:
+                       rtol: float = 1e-10, atol: float = 1e-12) -> float:
     """Amplitude threshold separating settled runs from escaping ones,
     located by bisection over A in [CRITICAL_LO, CRITICAL_HI] to within
-    CRITICAL_TOL at the given horizon.
+    CRITICAL_TOL.
 
     Each run of the coupled (a, R) system stops at the first accepted
     step T where one of two certificates of that system decides it, with
     U = B = P = 1, M = ||phi|| + R and eps = eps_hat(a) >= 0:
 
-    * escape, when R(T) > 1 and T + kaplan_time(R(T), p) < horizon.
-      ell(R) = (||phi|| + R)^p - ||phi||^p >= R^p, so R' >= R^p - R, and
-      R escapes no later than the comparison S' = S^p - S from
-      S(T) = R(T), whose escape time is T + kaplan_time(R(T), p);
+    * escape, when R(T) > 1. ell(R) = (||phi|| + R)^p - ||phi||^p >= R^p,
+      so R > 1 => R' >= R^p - R > 0, and R escapes in finite time;
     * settled, when M(T) < 2^(-1/(2(p-1))), which is 1/sqrt(2) at p = 2.
       The modes are eigenfunctions with eigenvalues -k^2 <= -1, so
       d||phi||/dt <= -||phi|| + ||Pi phi^p||, and
@@ -308,39 +308,43 @@ def critical_amplitude(p: int = 2, modes: Sequence[int] = (1, 3),
       M' <= -M + sqrt(2) M^p, which is negative below that level, so M
       only decreases from there on and the run settles.
 
-    The two regions are disjoint (R > 1 against M < 1), so a stopped run
-    escapes exactly when its last state meets the escape certificate. A
-    run that no certificate stops keeps the heuristic verdict of
-    :func:`evocontrol.ode.norm_nonincreasing_tail`. A stopped history is
-    a prefix of the unstopped run. On a horizon too short for the runs to
-    settle, the heuristic may call a certified settling run escaping,
-    since R can still be rising; the certified verdict is the one kept."""
+    The two regions are disjoint (R > 1 against M < 1), so a run escapes
+    exactly when its last state has R > 1. A run that no certificate
+    stops by t = CRITICAL_BACKSTOP raises :class:`EvocontrolError`, and a
+    bracket whose ends do not settle and escape raises
+    :class:`BracketError`."""
 
-    def escapes(t: float, y: np.ndarray) -> bool:
-        R = y[-1]
-        return R > 1.0 and t + kaplan_time(R, p) < horizon
-
-    def family(A: float) -> ode.IvpSpec:
-        scenario = HeatScenario(
-            A=A, p=p, modes=modes, horizon=horizon, rtol=rtol, atol=atol
-        )
+    def escapes(A: float) -> bool:
+        scenario = HeatScenario(A=A, p=p, modes=modes,
+                                horizon=CRITICAL_BACKSTOP, rtol=rtol,
+                                atol=atol)
         model = galerkin.build_model(scenario.modes, p)
         norm = model.basis.norm
         settled = 2.0 ** (-0.5 / (p - 1))
 
         def certified(t: float, y: np.ndarray) -> bool:
-            return escapes(t, y) or norm(y[:-1]) + y[-1] < settled
+            return y[-1] > 1.0 or norm(y[:-1]) + y[-1] < settled
 
-        return _coupled_spec(model, scenario, stop=certified)
+        outcome = ode.integrate(_coupled_spec(model, scenario, stop=certified))
+        if outcome.kind != ode.STOPPED:
+            raise EvocontrolError(
+                f"no certificate decided the run at A={A!r} by "
+                f"t={outcome.t_end!r} ({outcome.kind})"
+            )
+        return outcome.final_state[-1] > 1.0
 
-    def classify(outcome: ode.IvpOutcome) -> bool:
-        if outcome.kind == ode.STOPPED:
-            return escapes(outcome.t_end, outcome.final_state)
-        return not ode.norm_nonincreasing_tail(outcome)
-
-    return ode.bisect_parameter(
-        family, CRITICAL_LO, CRITICAL_HI, CRITICAL_TOL, classify=classify
-    )
+    lo, hi = CRITICAL_LO, CRITICAL_HI
+    if escapes(lo) or not escapes(hi):
+        raise BracketError(
+            f"the runs at A={lo} and A={hi} do not settle and escape"
+        )
+    while hi - lo > 2.0 * CRITICAL_TOL:
+        mid = 0.5 * (lo + hi)
+        if escapes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

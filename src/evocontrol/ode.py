@@ -44,11 +44,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import BracketError, OutOfDomainError, StepBudgetError
+from .errors import OutOfDomainError, StepBudgetError
 
 # rhs(t, y): (n,) states at float times, or (n, S) columns at (S,) times
 Rhs = Callable[[float | np.ndarray, np.ndarray], np.ndarray]
@@ -639,63 +639,3 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
                 h *= min(1.0, max(_FACTOR_MIN, factor))
     raise StepBudgetError(_MAX_STEPS)
 
-
-def norm_nonincreasing_tail(outcome: IvpOutcome, fraction: float = 0.1,
-                            rel_slack: float = 1e-8,
-                            abs_slack: float | None = None) -> bool:
-    """True when the max-norm is non-increasing over the trailing part
-    of the window (used as the operational notion of a settled, global
-    trajectory).
-
-    ``abs_slack`` (default 100 times the run's atol) absorbs roundoff
-    wiggle once a decayed trajectory sits at the integrator's absolute
-    noise floor.
-    """
-    if outcome.kind != REACHED_HORIZON:
-        return False
-    if abs_slack is None:
-        abs_slack = 100.0 * outcome.spec.atol
-    # the window opens at the last sample at or before t_start, so it
-    # holds a step even when the steps are longer than the window
-    t_start = outcome.t_end - fraction * (outcome.t_end - outcome.times[0])
-    first = max(0, int(np.searchsorted(outcome.times, t_start, "right")) - 1)
-    norms = outcome.max_norm_history()[first:]
-    allowed = norms[:-1] * (1.0 + rel_slack) + abs_slack
-    return bool(np.all(norms[1:] <= allowed))
-
-
-def bisect_parameter(
-    family: Callable[[float], IvpSpec],
-    lo: float,
-    hi: float,
-    tol: float,
-    classify: Callable[[IvpOutcome], bool] | None = None,
-) -> float:
-    """Locate the parameter value where the run outcome flips.
-
-    ``family`` maps a scalar parameter to an :class:`IvpSpec`;
-    ``classify`` maps an outcome to a boolean (default: blow-up). The two
-    endpoints must classify differently, otherwise a
-    :class:`BracketError` is raised. Returns the bracket midpoint once
-    its half-width is below ``tol``.
-    """
-    if classify is None:
-        classify = lambda outcome: outcome.kind == BLOW_UP
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if lo == hi:
-        return lo
-    flag_lo = classify(integrate(family(lo)))
-    flag_hi = classify(integrate(family(hi)))
-    if flag_lo == flag_hi:
-        raise BracketError(
-            f"outcomes agree at both endpoints ({lo} and {hi}); no crossing inside"
-        )
-    a, b = float(lo), float(hi)
-    while abs(b - a) > 2.0 * tol:
-        mid = 0.5 * (a + b)
-        if classify(integrate(family(mid))) == flag_lo:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)

@@ -219,3 +219,20 @@ def test_limit_subcommand(tmp_path):
     assert code == cli.EXIT_OK
     record = json.loads((tmp_path / "limit.json").read_text())
     assert abs(record["escape_time"] - 1.026) <= 0.002
+
+
+def test_critical_takes_no_horizon_or_threshold(tmp_path, capsys):
+    # every critical run ends on a certificate, so neither flag applies
+    for flag, value in (("--horizon", "3"), ("--blowup-threshold", "2")):
+        out = tmp_path / flag.lstrip("-")
+        assert _run(["critical", flag, value,
+                     "--out", str(out)]) == cli.EXIT_USAGE
+        assert not (out / "critical.json").exists()
+    capsys.readouterr()
+
+
+def test_undecided_critical_run_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(heat, "CRITICAL_BACKSTOP", 0.5)
+    assert _run(["critical", "--out", str(tmp_path)]) == cli.EXIT_NUMERIC
+    assert not (tmp_path / "critical.json").exists()
+    assert "no certificate decided the run" in capsys.readouterr().err

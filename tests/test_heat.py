@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from evocontrol import control, galerkin, heat, kaplan, ode
+from evocontrol.errors import BracketError, EvocontrolError
 
 
 def test_datum_norm_and_basic_bounds():
@@ -59,9 +60,6 @@ def test_second_mode_never_activates():
 def test_settled_runs_below_critical_amplitude():
     # just below the bisected threshold the trajectory and radius decay
     result = heat.run_scenario(heat.HeatScenario(A=1.046))
-    assert ode.norm_nonincreasing_tail(
-        ode.integrate(heat.assemble_coupled_system(heat.HeatScenario(A=1.046)))
-    )
     assert result.outcome_kind == ode.REACHED_HORIZON
     assert result.trajectory.norm_phi[-1] <= 1e-6
 
@@ -70,36 +68,50 @@ def test_settled_runs_below_critical_amplitude():
     ({}, "0x1.0e93fffffffffp+0"),
     ({"p": 3}, "0x1.1c5c000000000p+0"),
     ({"modes": (1, 3, 5)}, "0x1.1f9f333333333p+0"),
-    # most runs reach this horizon undecided and keep the tail heuristic
-    ({"horizon": 2.0}, "0x1.04bc000000000p+0"),
+    ({"modes": (1, 3, 5, 7, 9)}, "0x1.31f5999999998p+0"),
 ])
 def test_certified_stops_are_prefixes_of_the_full_runs(monkeypatch, kw,
                                                        value):
-    # a bisection run stopped by a certificate is a prefix of the full
-    # run of the same spec without the predicate, and the tail heuristic
-    # on the full run agrees with the certified verdict
-    verdicts = []
-    bisect = ode.bisect_parameter
+    # every bisection run ends on a certificate; replayed without the
+    # predicate to t = 50, its history is a bit-identical prefix of the
+    # replay, which escapes exactly when the verdict is "escapes"
+    runs = []
+    integrate = ode.integrate
 
-    def recording(family, lo, hi, tol, classify):
-        def noted(outcome):
-            verdicts.append((outcome, classify(outcome)))
-            return verdicts[-1][1]
+    def recording(spec):
+        runs.append(integrate(spec))
+        return runs[-1]
 
-        return bisect(family, lo, hi, tol, classify=noted)
-
-    monkeypatch.setattr(ode, "bisect_parameter", recording)
+    monkeypatch.setattr(ode, "integrate", recording)
     assert heat.critical_amplitude(**kw).hex() == value
-    assert len(verdicts) == 14
-    assert any(run.kind == ode.STOPPED for run, _ in verdicts)
-    for run, verdict in verdicts:
-        full = ode.integrate(dataclasses.replace(run.spec, stop=None))
+    monkeypatch.setattr(ode, "integrate", integrate)
+    assert len(runs) == 14
+    for run in runs:
+        assert run.kind == ode.STOPPED
+        escapes = run.final_state[-1] > 1.0
+        full = ode.integrate(
+            dataclasses.replace(run.spec, stop=None, horizon=50.0))
+        assert (full.kind == ode.BLOW_UP) == escapes
         n = len(run.times)
-        assert (len(full.times) > n) == (run.kind == ode.STOPPED)
+        assert len(full.times) > n
         for a, b in ((run.times, full.times), (run.states, full.states),
                      (run.derivs, full.derivs)):
             assert np.asarray(a).tobytes() == np.asarray(b[:n]).tobytes()
-        assert verdict == (not ode.norm_nonincreasing_tail(full))
+
+
+def test_undecided_critical_run_raises(monkeypatch):
+    # no certificate decides the run at A = 0.7 by t = 0.5
+    monkeypatch.setattr(heat, "CRITICAL_BACKSTOP", 0.5)
+    with pytest.raises(EvocontrolError, match=r"A=0\.7 by t=0\.5") as info:
+        heat.critical_amplitude()
+    assert not isinstance(info.value, BracketError)
+
+
+def test_critical_bracket_must_straddle_the_threshold(monkeypatch):
+    # both ends of [0.7, 0.8] settle
+    monkeypatch.setattr(heat, "CRITICAL_HI", 0.8)
+    with pytest.raises(BracketError):
+        heat.critical_amplitude()
 
 
 def _full_run(A):

@@ -9,7 +9,6 @@ import pytest
 
 from evocontrol import control, fd, galerkin, heat, kaplan, ode
 from evocontrol.errors import (
-    BracketError,
     EvocontrolError,
     OutOfDomainError,
     StepBudgetError,
@@ -380,41 +379,6 @@ def test_history_reductions_match_the_stacked_states(monkeypatch):
     assert outcome.max_norm_history().tobytes() == norms.tobytes()
     assert run.min_value.hex() == float(np.min(states)).hex()
     assert outcome.min_history().tobytes() == np.min(states, axis=1).tobytes()
-
-
-def test_bisect_parameter_scalar_family():
-    # r' = r^2 - c r with r0 = 1: the flow escapes exactly when c < 1
-    def family(c):
-        return ode.IvpSpec(
-            rhs=lambda t, y, c=c: y**2 - c * y,
-            y0=np.array([1.0]),
-            t0=0.0,
-            horizon=60.0,
-            rtol=1e-8,
-            atol=1e-10,
-        )
-
-    c_star = ode.bisect_parameter(family, 0.2, 1.8, 1e-3)
-    assert abs(c_star - 1.0) <= 5e-3
-
-    with pytest.raises(BracketError):
-        ode.bisect_parameter(family, 1.5, 1.8, 1e-3)
-    assert ode.bisect_parameter(family, 0.4, 0.4, 1e-3) == 0.4
-
-
-def test_norm_tail_classification():
-    decayed = ode.integrate(_decay_spec(horizon=8.0))
-    assert ode.norm_nonincreasing_tail(decayed)
-
-    growing = ode.integrate(
-        ode.IvpSpec(
-            rhs=lambda t, y: 0.3 * y,
-            y0=np.array([1.0]),
-            t0=0.0,
-            horizon=4.0,
-        )
-    )
-    assert not ode.norm_nonincreasing_tail(growing)
 
 
 def test_spec_validation():

@@ -30,6 +30,8 @@ RUNS = {
     "scenario_many": ["scenario", "--A", "10", "--modes",
                       ",".join(str(k) for k in range(1, 24, 2))],
     "critical": ["critical"],
+    # the threshold at p != 2, where both certificates change level
+    "critical_p3": ["critical", "--p", "3"],
     "limit": ["limit"],
     "kaplan": ["kaplan", "--A", "4", "--A", "10"],
     "fd": ["fd", "--A", "100", "--profile-time", "0.5"],
