@@ -25,6 +25,7 @@ from .errors import (
     EvocontrolError,
     GridDisagreementError,
     GrowthDomainError,
+    HistoryError,
     NotApplicableError,
     OutOfDomainError,
     QuadratureError,
@@ -107,6 +108,7 @@ __all__ = [
     "GridDisagreementError",
     "GrowthDomainError",
     "HeatScenario",
+    "HistoryError",
     "IvpOutcome",
     "IvpSpec",
     "NotApplicableError",

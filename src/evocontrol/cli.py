@@ -107,10 +107,11 @@ def cmd_table(args) -> int:
     )
     csv_path = _outpath(args, "table.csv")
     write_csv(csv_path, ["A", "t_N", "t_G", "t_K", "eta"], [
-        (r.scenario.A, r.t_n, r.t_g,
-         math.inf if r.t_k is None else r.t_k,
-         math.inf if r.eta is None else r.eta)
-        for r in rows
+        [r.scenario.A for r in rows],
+        [r.t_n for r in rows],
+        [r.t_g for r in rows],
+        [math.inf if r.t_k is None else r.t_k for r in rows],
+        [math.inf if r.eta is None else r.eta for r in rows],
     ])
     json_path = _outpath(args, "table.json")
     write_json(
@@ -143,7 +144,7 @@ def cmd_scenario(args) -> int:
          [tr.times, tr.norm_phi, tr.radius]),
         ("fig_ratio.csv", ["t", "ratio"], [tr.times, tr.ratio]),
     ):
-        write_csv(_outpath(args, name), header, zip(*columns))
+        write_csv(_outpath(args, name), header, columns)
     print(
         f"A={A}: {result.outcome_kind}, t_G={fmt_float(result.t_g)}; "
         f"wrote scenario.json, scenario.csv and 4 figure CSVs in {args.out}"
@@ -286,7 +287,7 @@ def cmd_fd(args) -> int:
         )
         write_csv(
             _outpath(args, "fig_profile.csv"), ["x", "closed_form"],
-            zip(grid, profile),
+            [grid, profile],
         )
         record["profile_deviation"] = deviation
         write_json(record, path)

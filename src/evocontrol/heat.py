@@ -397,7 +397,7 @@ def write_scenario_csv(result: ScenarioResult, path: str) -> None:
     columns = [tr.times] + [tr.coordinate(k) for k in (1, 3, *extra)] + [
         tr.norm_phi, tr.radius, tr.ratio
     ]
-    write_csv(path, header, zip(*columns))
+    write_csv(path, header, columns)
 
 
 def scenario_record(result: ScenarioResult) -> dict:

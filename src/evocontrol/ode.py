@@ -21,7 +21,9 @@ Every run is classified into one of four outcomes:
 
 Each outcome carries an :class:`IvpStats` record: step and RHS-call
 counters, the step-size range and the termination reason, which tells
-a threshold escape from a min-step collapse.
+a threshold escape from a min-step collapse. Every outcome keeps its
+grid and max |y| and min y per step; the accepted states and
+derivatives only when the spec asks for ``dense_output``.
 
 A right-hand side takes the layout of scipy's ``solve_ivp(vectorized=True)``:
 it maps a state of shape (n,) at a float time to shape (n,) while
@@ -43,12 +45,13 @@ reproducible CSV output.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import OutOfDomainError, StepBudgetError
+from .errors import HistoryError, OutOfDomainError, StepBudgetError
 
 # rhs(t, y): (n,) states at float times, or (n, S) columns at (S,) times
 Rhs = Callable[[float | np.ndarray, np.ndarray], np.ndarray]
@@ -197,7 +200,7 @@ _FACTOR_MAX = 5.0
 _ORDER_EXP = 0.125  # 1 / (order of the advancing solution)
 _MAX_STEPS = 20_000_000
 _BRACKET_WIDTH = 5e-7  # longest escaping step, kept below the 1e-6 contract
-_REDUCE_BYTES = 1 << 17  # size of the block buffer of a history reduction
+_DENSE_BYTES = 1 << 17  # size of the stage buffer of a dense-output chunk
 
 
 @dataclass
@@ -213,7 +216,10 @@ class IvpSpec:
     step below it is treated as a finite-time singularity. ``stop(t, y)``,
     when given, is asked after each accepted step that did not escape,
     with the step's end time and state; when it returns true, the run
-    ends there as ``stopped``.
+    ends there as ``stopped``. ``dense_output`` keeps every accepted
+    state and derivative, which :meth:`IvpOutcome.interpolate` needs;
+    without it the run keeps its grid, its per-step series and its last
+    state and derivative, O(n + steps) memory instead of O(n * steps).
     """
 
     rhs: Rhs
@@ -225,6 +231,7 @@ class IvpSpec:
     blowup_threshold: float = 1e8
     min_step: float | None = None
     stop: Callable[[float, np.ndarray], bool] | None = None
+    dense_output: bool = True
 
     def __post_init__(self):
         self.y0 = np.asarray(self.y0, dtype=float)
@@ -281,18 +288,21 @@ class IvpStats:
 class IvpOutcome:
     """Result of :func:`integrate`.
 
-    ``times`` is the grid of accepted steps; ``states`` and ``derivs``
-    are the lists of the state and derivative rows the run appended, one
-    per grid time. A threshold escape ends on its escaping step, so the
-    last state is the only one past the threshold. The outcome doubles
-    as a dense-output object via :meth:`interpolate`; ``stats`` holds the
-    run's counters. Outcomes compare by identity: their fields hold
-    arrays.
+    ``times`` is the grid of accepted steps; ``max_norms`` and ``minima``
+    hold max |y| and min y at each grid time. ``states`` and ``derivs``
+    are the state and derivative rows, one per grid time with
+    ``dense_output`` and the last of each without. A threshold escape
+    ends on its escaping step, so the last state is the only one past
+    the threshold. The outcome doubles as a dense-output object via
+    :meth:`interpolate`; ``stats`` holds the run's counters. Outcomes
+    compare by identity: their fields hold arrays.
     """
 
     kind: str
     t_end: float
     times: np.ndarray
+    max_norms: np.ndarray = field(repr=False)
+    minima: np.ndarray = field(repr=False)
     states: list = field(repr=False)
     derivs: list = field(repr=False)
     spec: IvpSpec = field(repr=False)
@@ -312,9 +322,14 @@ class IvpOutcome:
         outcome stores nothing beyond its step history. The queried
         steps are recomputed together, as the columns of one RHS call
         per stage (the column contract of :class:`IvpSpec`), in chunks
-        whose stage buffer stays within ``_REDUCE_BYTES``. An outcome
-        without an accepted step returns its one sample.
+        whose stage buffer stays within ``_DENSE_BYTES``. An outcome
+        without an accepted step returns its one sample. Raises
+        :class:`HistoryError` when the spec did not ask for
+        ``dense_output``.
         """
+        if not self.spec.dense_output:
+            raise HistoryError("the run kept no step history to interpolate "
+                               "(dense_output=False)")
         tq = np.atleast_1d(np.asarray(t, dtype=float))
         times = self.times
         lo, hi = times[0], times[-1]
@@ -332,7 +347,7 @@ class IvpOutcome:
             steps, column = np.unique(step, return_inverse=True)
             n = self.spec.dimension
             out = np.empty((tq.size, n))
-            width = max(1, _REDUCE_BYTES // (16 * 8 * n))
+            width = max(1, _DENSE_BYTES // (16 * 8 * n))
             for s in range(0, steps.size, width):
                 at = np.flatnonzero((column >= s) & (column < s + width))
                 out[at] = _dense_output(
@@ -344,29 +359,12 @@ class IvpOutcome:
         return out
 
     def max_norm_history(self) -> np.ndarray:
-        """max |y| of every stored state."""
-        return _reduce_rows(self.states, np.max, absolute=True)
+        """max |y| at every grid time."""
+        return self.max_norms
 
     def min_history(self) -> np.ndarray:
-        """Smallest entry of every stored state."""
-        return _reduce_rows(self.states, np.min)
-
-
-def _reduce_rows(rows, reduce, absolute: bool = False) -> np.ndarray:
-    """``reduce(|rows| or rows, axis=1)`` without a copy of the history:
-    rows are copied block by block into one buffer of about
-    ``_REDUCE_BYTES``. Max and min are exact, so the values have the
-    bits of the reduction of the stacked array."""
-    n, width = len(rows), len(rows[0])
-    out = np.empty(n)
-    buf = np.empty((min(n, max(1, _REDUCE_BYTES // (8 * width))), width))
-    for s in range(0, n, len(buf)):
-        block = buf[: min(len(buf), n - s)]
-        block[...] = rows[s : s + len(block)]
-        if absolute:
-            np.abs(block, out=block)
-        reduce(block, axis=1, out=out[s : s + len(block)])
-    return out
+        """Smallest entry of the state at every grid time."""
+        return self.minima
 
 
 def _error_norm(stages, h: float, abs_old: np.ndarray, abs_new: np.ndarray,
@@ -495,9 +493,11 @@ def _dense_output(rhs: Rhs, times: np.ndarray, states, derivs,
 def integrate(spec: IvpSpec) -> IvpOutcome:
     """Integrate an initial value problem and classify the outcome.
 
-    Accepted steps are appended to the sample lists as they happen; the
-    run ends at the horizon, at a blow-up, at a domain exit, or at the
-    first accepted step, not escaping, whose end satisfies ``spec.stop``.
+    Accepted steps are appended to the grid, the per-step series and,
+    with ``dense_output``, the state and derivative lists as they
+    happen; the run ends at the horizon, at a blow-up, at a domain exit,
+    or at the first accepted step, not escaping, whose end satisfies
+    ``spec.stop``.
     The threshold and ``stop`` are tested only at the ends of accepted
     steps, so a max-norm that crosses the threshold and falls back within
     one step is not seen. An accepted step that carries the max-norm past
@@ -520,9 +520,14 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
     if not np.all(np.isfinite(f)):
         raise ValueError("rhs is not finite at the initial point")
 
+    abs_y = np.abs(y)
     times = [t]
+    # raw doubles, so the series hold no Python object per step
+    norms = array("d", [abs_y.max()])
+    minima = array("d", [y.min()])
     states = [y]
     derivs = [f]
+    keep = spec.dense_output
 
     horizon = spec.horizon
     stop = spec.stop
@@ -530,7 +535,6 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
     min_step = spec.min_step
     rtol, atol = spec.rtol, spec.atol
     stages = _stage_buffer(y.size)
-    abs_y = np.abs(y)
     nfev = 2
     rejected = retries = 0
     saw_nonfinite = False
@@ -548,8 +552,10 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
             kind=kind,
             t_end=float(t_end),
             times=grid,
-            states=states,
-            derivs=derivs,
+            max_norms=np.array(norms),
+            minima=np.array(minima),
+            states=states if keep else [y],
+            derivs=derivs if keep else [f],
             spec=spec,
             stats=IvpStats(
                 accepted=steps.size,
@@ -609,8 +615,11 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
                 t, y, f = horizon if clamped else t + h, y_new, f_new.copy()
                 abs_y = abs_new
                 times.append(t)
-                states.append(y)
-                derivs.append(f)
+                norms.append(m_new)
+                minima.append(y.min())
+                if keep:
+                    states.append(y)
+                    derivs.append(f)
                 if escaped:
                     return _finish(BLOW_UP, t, THRESHOLD_ESCAPE)
                 if stop is not None and stop(t, y):

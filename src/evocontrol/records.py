@@ -13,15 +13,17 @@ import json
 import math
 import os
 import tempfile
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 SPEC_VERSION = "1.0"
+_FLOAT = "%.17g"
 
 
 def fmt_float(x: float) -> str:
-    if math.isinf(x):
-        return "inf"
-    return format(x, ".17g")
+    """17 significant digits; infinities keep their sign."""
+    return _FLOAT % x
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -42,10 +44,13 @@ def write_json(record: dict, path: str) -> None:
 
 
 def write_csv(path: str, header: Sequence[str],
-              rows: Iterable[Sequence[float]]) -> None:
-    """One header line, then one line of :func:`fmt_float` values per row."""
+              columns: Sequence[Sequence[float]]) -> None:
+    """One header line, then one line of :func:`fmt_float` values per row
+    of the equal-length ``columns``."""
+    row = ",".join([_FLOAT] * len(header))
+    values = (np.asarray(c, dtype=float).tolist() for c in columns)
     lines = [",".join(header)]
-    lines.extend(",".join(fmt_float(v) for v in row) for row in rows)
+    lines.extend(row % r for r in zip(*values, strict=True))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -37,20 +37,19 @@ def test_blowup_estimate_sits_between_certified_bounds():
     assert est.fine.min_value >= -1e-10
 
 
-def test_single_run_holds_its_history_once():
-    # the run's rows are the only copy of its history: no stacked or
-    # absolute-value copy is built for the max-norms and the minimum
+def test_single_run_keeps_no_step_history():
+    # the run keeps its grid and per-step series, not its states and
+    # derivatives: the fine A=10 run of the reference (2,366 steps on 512
+    # points) would hold 19.4 MB of rows; it peaks at about 0.3 MB
     fd.fd_single_run(fd.FdConfig(A=100.0, N=64))
-    config = fd.FdConfig(A=10.0, N=256)
     tracemalloc.start()
     try:
-        run = fd.fd_single_run(config)
+        run = fd.fd_single_run(fd.FdConfig(A=10.0, N=512))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(run.times) - 1 >= 500
-    history = 2 * len(run.times) * config.N * 8  # states + derivs
-    assert peak < 1.3 * history
+    assert len(run.times) - 1 >= 2000
+    assert peak <= 2e6
 
 
 def test_small_datum_reaches_horizon():

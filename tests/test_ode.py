@@ -1,5 +1,6 @@
 """Integrator engine: accuracy, blow-up detection, classification."""
 
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -10,6 +11,7 @@ import pytest
 from evocontrol import control, fd, galerkin, heat, kaplan, ode
 from evocontrol.errors import (
     EvocontrolError,
+    HistoryError,
     OutOfDomainError,
     StepBudgetError,
 )
@@ -265,7 +267,7 @@ def test_dense_output_does_not_depend_on_the_chunks(monkeypatch, run):
     outcome = run()
     t = np.linspace(outcome.times[0], outcome.times[-1], 777)
     default = outcome.interpolate(t)
-    monkeypatch.setattr(ode, "_REDUCE_BYTES", 16 * 8 * outcome.spec.dimension)
+    monkeypatch.setattr(ode, "_DENSE_BYTES", 16 * 8 * outcome.spec.dimension)
     assert outcome.interpolate(t).tobytes() == default.tobytes()
 
 
@@ -277,7 +279,7 @@ def test_dense_output_chunks_of_the_coupled_run(monkeypatch):
         heat.assemble_coupled_system(heat.HeatScenario(A=2.0)))
     t = heat._sample_times(outcome)
     default = outcome.interpolate(t)
-    monkeypatch.setattr(ode, "_REDUCE_BYTES", 16 * 8 * outcome.spec.dimension)
+    monkeypatch.setattr(ode, "_DENSE_BYTES", 16 * 8 * outcome.spec.dimension)
     single = outcome.interpolate(t)
     scale = np.max(np.abs(default), axis=0)
     assert np.all(np.max(np.abs(single - default), axis=0)
@@ -296,10 +298,10 @@ def test_dense_output_makes_14_calls_per_chunk(monkeypatch, steps_per_chunk):
                                   atol=1e-12))
     steps = outcome.stats.accepted
     assert steps >= 10
-    width = ode._REDUCE_BYTES // (16 * 8)
+    width = ode._DENSE_BYTES // (16 * 8)
     if steps_per_chunk is not None:
         width = steps_per_chunk
-        monkeypatch.setattr(ode, "_REDUCE_BYTES", 16 * 8 * width)
+        monkeypatch.setattr(ode, "_DENSE_BYTES", 16 * 8 * width)
     # one query inside every step
     t = outcome.times[:-1] + 0.5 * np.diff(outcome.times)
     calls[0] = 0
@@ -358,27 +360,45 @@ def test_interpolation_without_an_accepted_step():
         outcome.interpolate(0.1)
 
 
-def test_history_reductions_match_the_stacked_states(monkeypatch):
-    # max-norms and minima are taken row by row from the stored history;
-    # max and min are exact, so they carry the bits of the reductions of
-    # the stacked array
-    outcomes = []
-    integrate = ode.integrate
+def _assert_fd_run_matches_replay(run, replay):
+    """An FD run, which keeps no step history, against the replay of its
+    spec with the history kept: grid, max-norms, minimum and estimate
+    carry the same bits."""
+    assert run.times.tobytes() == replay.times.tobytes()
+    assert run.max_norms.tobytes() == replay.max_norm_history().tobytes()
+    assert run.min_value.hex() == float(np.min(replay.min_history())).hex()
+    assert run.estimate.hex() == replay.t_end.hex()
 
-    def recording(spec):
-        outcomes.append(integrate(spec))
-        return outcomes[-1]
 
-    monkeypatch.setattr(ode, "integrate", recording)
-    run = fd.fd_single_run(fd.FdConfig(A=20.0, N=64))
-    (outcome,) = outcomes
-    states = np.asarray(outcome.states)
-    assert outcome.final_state.tobytes() == states[-1].tobytes()
+def test_history_reductions_match_the_stacked_states():
+    # max-norms and minima are the per-step series of the run; max and
+    # min are exact, so they carry the bits of the reductions of the
+    # stacked states
+    config = fd.FdConfig(A=20.0, N=64)
+    replay = ode.integrate(fd._mol_spec(config))
+    states = np.asarray(replay.states)
+    assert replay.final_state.tobytes() == states[-1].tobytes()
     norms = np.max(np.abs(states), axis=1)
-    assert run.max_norms.tobytes() == norms.tobytes()
-    assert outcome.max_norm_history().tobytes() == norms.tobytes()
-    assert run.min_value.hex() == float(np.min(states)).hex()
-    assert outcome.min_history().tobytes() == np.min(states, axis=1).tobytes()
+    assert replay.max_norm_history().tobytes() == norms.tobytes()
+    assert replay.min_history().tobytes() == np.min(states, axis=1).tobytes()
+    _assert_fd_run_matches_replay(fd.fd_single_run(config), replay)
+
+
+def test_a_run_without_history_keeps_its_last_sample():
+    spec = fd._mol_spec(fd.FdConfig(A=20.0, N=64))
+    full = ode.integrate(spec)
+    lean = ode.integrate(dataclasses.replace(spec, dense_output=False))
+    for a, b in ((full.times, lean.times),
+                 (full.max_norms, lean.max_norms),
+                 (full.minima, lean.minima),
+                 (full.final_state, lean.final_state),
+                 (full.derivs[-1], lean.derivs[-1])):
+        assert a.tobytes() == b.tobytes()
+    assert len(lean.states) == len(lean.derivs) == 1
+    assert lean.stats == full.stats
+    with pytest.raises(HistoryError):
+        lean.interpolate(0.5 * lean.t_end)
+    assert issubclass(HistoryError, EvocontrolError)
 
 
 def test_spec_validation():
@@ -660,10 +680,15 @@ def test_pinned_bits_kaplan_comparison(monkeypatch):
 
 
 def test_pinned_bits_fd_run(monkeypatch):
-    run, _, digest = _run_digest(
-        monkeypatch, lambda: fd.fd_single_run(fd.FdConfig(A=20.0, N=64)))
+    # the FD run keeps no step history, so the digest is taken on the
+    # replay of its spec with the history kept
+    config = fd.FdConfig(A=20.0, N=64)
+    replay, _, digest = _run_digest(
+        monkeypatch, lambda: ode.integrate(fd._mol_spec(config)))
+    run = fd.fd_single_run(config)
     assert run.estimate.hex() == "0x1.109eec0f884bfp-4"
     assert len(run.times) - 1 == 49
+    _assert_fd_run_matches_replay(run, replay)
     assert digest == (
         "35d6f1095a665af77512f27e70494c8fd5a797555077df7da0885abcf527811e")
 

@@ -35,6 +35,8 @@ RUNS = {
     "limit": ["limit"],
     "kaplan": ["kaplan", "--A", "4", "--A", "10"],
     "fd": ["fd", "--A", "100", "--profile-time", "0.5"],
+    # a norms CSV from a long fine run (1,123 steps on 512 points)
+    "fd_A20": ["fd", "--A", "20"],
     "picard": ["picard", "--A", "1", "--horizon", "2"],
     "wave": ["wave"],
     # non-default mode sets through every entry point that looks up a model
