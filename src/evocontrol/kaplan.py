@@ -53,7 +53,9 @@ def kaplan_time_by_quadrature(q0: float, p: int, tol: float = 1e-10) -> float:
         (1-v)^(p-2) / (Q0^(p-1) - (1-v)^(p-1))
 
     is bounded there, with a steep (integrable) layer at v = 0 when Q0
-    is close to 1, which the adaptive rule resolves by subdivision.
+    is close to 1, which the adaptive Gauss-Kronrod rule of
+    :func:`quadrature.adaptive_quad` (numpy alone, no scipy) resolves by
+    subdivision.
     """
     check_power(p)
     if not q0 > 1.0:
@@ -62,12 +64,12 @@ def kaplan_time_by_quadrature(q0: float, p: int, tol: float = 1e-10) -> float:
         )
     qp = q0 ** (p - 1)
 
-    def integrand(v: float) -> float:
+    def integrand(v: np.ndarray) -> np.ndarray:
         om = 1.0 - v
         return om ** (p - 2) / (qp - om ** (p - 1))
 
     value, abserr = quad.adaptive_quad(
-        integrand, 0.0, 1.0, epsabs=tol * 1e-2, epsrel=tol, limit=800
+        integrand, (0.0, 1.0), epsabs=tol * 1e-2, epsrel=tol, limit=800
     )
     if abserr > max(1e3 * tol * 1e-2, 1e-6 * abs(value)):
         raise QuadratureError("blow-up integral did not converge", abserr)

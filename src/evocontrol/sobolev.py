@@ -14,7 +14,9 @@ Three independent pieces:
 
 Norms are always the H1 norm: L2 of the function plus L2 of the almost
 everywhere derivative. The family has a derivative kink at pi/2, so all
-quadrature splits the interval there.
+quadrature splits the interval there. The adaptive integrals run on the
+numpy Gauss-Kronrod rule of :func:`quadrature.adaptive_quad`, so no
+route here imports scipy.
 """
 
 from __future__ import annotations
@@ -92,43 +94,39 @@ def closed_ratio(lam: float) -> float:
 
 
 def _split_quad(fn) -> float:
-    half = math.pi / 2.0
-    opts = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
-    left, _ = qd.adaptive_quad(fn, 0.0, half, **opts)
-    right, _ = qd.adaptive_quad(fn, half, math.pi, **opts)
-    return left + right
+    """int_0^pi fn by adaptive quadrature with a breakpoint at the kink;
+    an unconverged value raises :class:`QuadratureError`."""
+    value, _ = qd.adaptive_quad(fn, (0.0, math.pi / 2.0, math.pi),
+                                epsabs=1e-14, epsrel=1e-13, limit=200)
+    return value
+
+
+def _kink_parts(lam: float, x: np.ndarray):
+    """f_lam and |f_lam'| at the abscissae x."""
+    u = np.abs(x - math.pi / 2.0)
+    f = math.exp(-lam * math.pi / 2.0) * np.expm1(lam * (math.pi / 2.0 - u))
+    return f, lam * np.exp(-lam * u)
 
 
 def quad_norm_sq(lam: float) -> float:
     """||f_lam||^2 by adaptive quadrature split at the kink."""
-    c = math.exp(-lam * math.pi / 2.0)
 
-    def f_sq(x):
-        v = math.pi / 2.0 - abs(x - math.pi / 2.0)
-        return (c * math.expm1(lam * v)) ** 2
+    def integrand(x):
+        f, df = _kink_parts(lam, x)
+        return f * f + df * df
 
-    def df_sq(x):
-        return (lam * math.exp(-lam * abs(x - math.pi / 2.0))) ** 2
-
-    return _split_quad(f_sq) + _split_quad(df_sq)
+    return _split_quad(integrand)
 
 
 def quad_square_norm_sq(lam: float) -> float:
     """||f_lam^2||^2 by adaptive quadrature split at the kink."""
-    c = math.exp(-lam * math.pi / 2.0)
 
-    def f4(x):
-        v = math.pi / 2.0 - abs(x - math.pi / 2.0)
-        return (c * math.expm1(lam * v)) ** 4
+    def integrand(x):
+        f, df = _kink_parts(lam, x)
+        f2 = f * f
+        return f2 * f2 + 4.0 * f2 * df * df
 
-    def dsq(x):
-        u = abs(x - math.pi / 2.0)
-        v = math.pi / 2.0 - u
-        f = c * math.expm1(lam * v)
-        df = lam * math.exp(-lam * u)
-        return 4.0 * f * f * df * df
-
-    return _split_quad(f4) + _split_quad(dsq)
+    return _split_quad(integrand)
 
 
 def ratio_lower_bound(lam: float) -> float:
@@ -173,13 +171,12 @@ def convolution_constant(k: float) -> float:
     so the Cauchy weight absorbs the substitution Jacobian exactly."""
 
     def integrand(theta):
-        d = k - math.tan(theta)
+        d = k - np.tan(theta)
         return 1.0 / (1.0 + d * d)
 
-    peak = math.atan(k)
-    val, err = qd.adaptive_quad(
-        integrand, -math.pi / 2.0, math.pi / 2.0,
-        points=[peak], epsabs=1e-14, epsrel=1e-13, limit=200,
+    val, _ = qd.adaptive_quad(
+        integrand, (-math.pi / 2.0, math.atan(k), math.pi / 2.0),
+        epsabs=1e-14, epsrel=1e-13, limit=200,
     )
     return val / (2.0 * math.pi)
 

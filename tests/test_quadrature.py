@@ -9,6 +9,7 @@ import pytest
 
 import evocontrol
 from evocontrol import quadrature as qd
+from evocontrol.errors import QuadratureError
 
 
 def test_sine_orthogonality_to_roundoff():
@@ -120,22 +121,85 @@ def test_exp_prefix_rejects_bad_input():
         qd.exp_prefix(np.ones((8, 2)), np.array([1.0, math.nan]), 0.1)
 
 
-_SCIPY_LAZY = """
+_NO_SCIPY = """
 import sys
-import evocontrol, evocontrol.cli
-from evocontrol import fd, kaplan
+from evocontrol import cli, fd, kaplan, sobolev
+out = sys.argv[1]
 fd.fd_blowup_time(fd.FdConfig(A=100.0))
+gap = abs(kaplan.kaplan_time_by_quadrature(2.0, 2) - kaplan.kaplan_time(2.0, 2))
+sobolev.sobolev_report(trials=100)
+sobolev.convolution_constant(3.0)
+codes = [cli.main(["kaplan", "--A", "4", "--out", out]),
+         cli.main(["sobolev", "--trials", "100", "--out", out])]
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
-print(abs(kaplan.kaplan_time_by_quadrature(2.0, 2) - kaplan.kaplan_time(2.0, 2)))
+print(gap)
+print(codes)
 """
 
 
-def test_scipy_loads_only_at_the_first_adaptive_quadrature():
+def test_no_route_loads_scipy(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(evocontrol.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", _SCIPY_LAZY], env=env, check=True,
-        capture_output=True, text=True,
+        [sys.executable, "-c", _NO_SCIPY, str(tmp_path)], env=env,
+        check=True, capture_output=True, text=True,
     ).stdout.split("\n")
-    assert out[0] == "[]"
-    assert float(out[1]) <= 1e-8
+    assert out[-4] == "[]"
+    assert float(out[-3]) <= 1e-8
+    assert out[-2] == "[0, 0]"
+
+
+def test_gauss_kronrod_constants():
+    nodes, kronrod, gauss = qd._GK21.T
+    x, _ = np.polynomial.legendre.leggauss(10)
+    assert np.max(np.abs(nodes[gauss != 0.0] - x)) <= 1e-15
+    assert abs(math.fsum(kronrod) - 2.0) <= 1e-15
+    assert abs(math.fsum(gauss) - 2.0) <= 1e-15
+    # the rule is symmetric about the centre
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert np.array_equal(kronrod, kronrod[::-1])
+
+
+def test_one_interval_integrates_polynomials_exactly():
+    # Kronrod (21 nodes) is exact through degree 31, Gauss (10) through 19
+    for k in range(32):
+        value, _ = qd._qk21(lambda x: x**k, np.array([0.0]), np.array([1.0]))
+        assert abs(value[0] - 1.0 / (k + 1)) <= 1e-15
+    nodes, _, gauss = qd._GK21.T
+    for k in range(20):
+        value = 0.5 * float(np.dot(gauss, (0.5 * (nodes + 1.0)) ** k))
+        assert abs(value - 1.0 / (k + 1)) <= 1e-15
+
+
+def test_interior_edges_are_honoured():
+    calls = []
+
+    def kink(x):
+        calls.append(x.shape)
+        return np.abs(x - 1.0)
+
+    value, err = qd.adaptive_quad(kink, (0.0, 1.0, 2.0), epsabs=1e-14,
+                                  epsrel=1e-13, limit=50)
+    assert abs(value - 1.0) <= 1e-15
+    assert calls == [(2, 21)]
+    assert err <= 1e-13
+
+
+def test_unconverged_integral_raises_after_at_most_limit_intervals():
+    # int_0^1 dv/v diverges: the error estimate never falls, so the rule
+    # must stop once its partition holds ``limit`` intervals
+    limit = 40
+    evaluated = []
+
+    def inverse(v):
+        evaluated.append(v.shape[0])
+        return 1.0 / v
+
+    with pytest.raises(QuadratureError) as info:
+        qd.adaptive_quad(inverse, (0.0, 1.0), epsabs=1e-10, epsrel=1e-10,
+                         limit=limit)
+    # one interval, then each split replaces an interval by two halves
+    intervals = evaluated[0] + sum(n // 2 for n in evaluated[1:])
+    assert all(n % 2 == 0 for n in evaluated[1:])
+    assert intervals <= limit
+    assert info.value.achieved > 1e-10
