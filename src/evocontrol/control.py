@@ -215,9 +215,9 @@ def _check_pure_power_args(U, B, P, p, norm_f0):
         raise ValueError("norm_f0 must be >= 0")
 
 
-def as_ivp(problem: ControlProblem, rtol: float = 1e-10, atol: float = 1e-12,
-           blowup_threshold: float = 1e8) -> ode.IvpSpec:
-    """Wrap a control problem as a one-dimensional IVP.
+def as_ivp(problem: ControlProblem) -> ode.IvpSpec:
+    """Wrap a control problem as a one-dimensional IVP, with the
+    integrator's default tolerances and escape threshold.
 
     Leaving the growth radius is signalled to the integrator by a
     non-finite right-hand side, so such runs end in a domain exit rather
@@ -237,7 +237,4 @@ def as_ivp(problem: ControlProblem, rtol: float = 1e-10, atol: float = 1e-12,
         y0=np.array([problem.r0]),
         t0=problem.t0,
         horizon=problem.horizon,
-        rtol=rtol,
-        atol=atol,
-        blowup_threshold=blowup_threshold,
     )

@@ -124,8 +124,8 @@ def fd_single_run(config: FdConfig) -> FdRun:
         kind=outcome.kind,
         estimate=estimate,
         times=outcome.times,
-        max_norms=outcome.max_norm_history(),
-        min_value=float(np.min(outcome.min_history())),
+        max_norms=outcome.max_norms,
+        min_value=float(np.min(outcome.minima)),
     )
 
 

@@ -29,7 +29,14 @@ import numpy as np
 from . import ode
 from . import quadrature as quad
 from .control import check_power
-from .errors import NotApplicableError, OutOfDomainError, QuadratureError
+from .errors import NotApplicableError, OutOfDomainError
+
+# integrator tolerances of the comparison ODE (its escape threshold is
+# the integrator's default) and the window of comparison_blowup_time
+_RTOL = 1e-12
+_ATOL = 1e-13
+_HORIZON = 100.0
+_SN_GRID_POINTS = 2049  # uniform grid of sn_iteration
 
 
 def kaplan_time(q0: float, p: int) -> float:
@@ -42,7 +49,7 @@ def kaplan_time(q0: float, p: int) -> float:
     return -math.log1p(-(q0 ** (1 - p))) / (p - 1)
 
 
-def kaplan_time_by_quadrature(q0: float, p: int, tol: float = 1e-10) -> float:
+def kaplan_time_by_quadrature(q0: float, p: int) -> float:
     """The same bound as the improper integral
 
         t_k = int_{Q0}^{inf} dr / (r (r^(p-1) - 1)),
@@ -55,7 +62,9 @@ def kaplan_time_by_quadrature(q0: float, p: int, tol: float = 1e-10) -> float:
     is bounded there, with a steep (integrable) layer at v = 0 when Q0
     is close to 1, which the adaptive Gauss-Kronrod rule of
     :func:`quadrature.adaptive_quad` (numpy alone, no scipy) resolves by
-    subdivision.
+    subdivision, to an absolute error of 1e-12 or a relative one of
+    1e-10, whichever is larger; otherwise it raises
+    :class:`QuadratureError`.
     """
     check_power(p)
     if not q0 > 1.0:
@@ -68,17 +77,13 @@ def kaplan_time_by_quadrature(q0: float, p: int, tol: float = 1e-10) -> float:
         om = 1.0 - v
         return om ** (p - 2) / (qp - om ** (p - 1))
 
-    value, abserr = quad.adaptive_quad(
-        integrand, (0.0, 1.0), epsabs=tol * 1e-2, epsrel=tol, limit=800
+    value, _ = quad.adaptive_quad(
+        integrand, (0.0, 1.0), epsabs=1e-12, epsrel=1e-10, limit=800
     )
-    if abserr > max(1e3 * tol * 1e-2, 1e-6 * abs(value)):
-        raise QuadratureError("blow-up integral did not converge", abserr)
     return value
 
 
-def _comparison_spec(q0: float, p: int, horizon: float, rtol: float,
-                     atol: float, blowup_threshold: float = 1e8,
-                     ) -> ode.IvpSpec:
+def _comparison_spec(q0: float, p: int, horizon: float) -> ode.IvpSpec:
     """dS/dt = S^p - S from S(0) = q0 as a one-dimensional IVP; the
     right-hand side is elementwise, so it takes (1,) or (1, S) states."""
     def rhs(s, y: np.ndarray) -> np.ndarray:
@@ -89,14 +94,12 @@ def _comparison_spec(q0: float, p: int, horizon: float, rtol: float,
         y0=np.array([q0]),
         t0=0.0,
         horizon=horizon,
-        rtol=rtol,
-        atol=atol,
-        blowup_threshold=blowup_threshold,
+        rtol=_RTOL,
+        atol=_ATOL,
     )
 
 
-def comparison_solution(q0: float, p: int, t: float,
-                        rtol: float = 1e-12, atol: float = 1e-13) -> float:
+def comparison_solution(q0: float, p: int, t: float) -> float:
     """Comparison ODE solution S(t) by adaptive integration.
 
     Raises :class:`OutOfDomainError` when t is past the escape time of
@@ -107,7 +110,7 @@ def comparison_solution(q0: float, p: int, t: float,
         raise OutOfDomainError("comparison solution queried at negative time")
     if t == 0.0:
         return q0
-    outcome = ode.integrate(_comparison_spec(q0, p, t, rtol, atol))
+    outcome = ode.integrate(_comparison_spec(q0, p, t))
     if outcome.kind != ode.REACHED_HORIZON:
         raise OutOfDomainError(
             f"comparison solution escapes at t={outcome.t_end} <= {t}"
@@ -115,9 +118,7 @@ def comparison_solution(q0: float, p: int, t: float,
     return float(outcome.final_state[0])
 
 
-def comparison_blowup_time(q0: float, p: int, horizon: float = 100.0,
-                           rtol: float = 1e-12, atol: float = 1e-13,
-                           blowup_threshold: float = 1e8) -> float:
+def comparison_blowup_time(q0: float, p: int) -> float:
     """Escape time of the comparison ODE by direct integration (the
     dual route to :func:`kaplan_time`)."""
     check_power(p)
@@ -125,16 +126,13 @@ def comparison_blowup_time(q0: float, p: int, horizon: float = 100.0,
         raise NotApplicableError(
             f"the comparison problem escapes only for Q0 > 1, got {q0}"
         )
-    outcome = ode.integrate(
-        _comparison_spec(q0, p, horizon, rtol, atol, blowup_threshold)
-    )
+    outcome = ode.integrate(_comparison_spec(q0, p, _HORIZON))
     if outcome.kind != ode.BLOW_UP:
         raise OutOfDomainError("comparison problem did not escape before the horizon")
     return outcome.t_end
 
 
-def sn_iteration(q0: float, p: int, n: int, t: float,
-                 grid_points: int = 2049) -> float:
+def sn_iteration(q0: float, p: int, n: int, t: float) -> float:
     """n-th element of the monotone iteration converging to the
     comparison solution:
 
@@ -150,7 +148,7 @@ def sn_iteration(q0: float, p: int, n: int, t: float,
         raise OutOfDomainError("iteration queried at negative time")
     if t == 0.0:
         return q0
-    grid = np.linspace(0.0, t, grid_points)
+    grid = np.linspace(0.0, t, _SN_GRID_POINTS)
     h = grid[1] - grid[0]
     decay = np.exp(-grid) * q0
     S = decay

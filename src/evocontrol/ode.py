@@ -212,14 +212,16 @@ class IvpSpec:
     derivative of shape (n,); the dense output also calls it on states
     as the columns of an (n, S) array, with t of shape (S,), and takes
     column j of the (n, S) result as the derivative of column j.
-    ``min_step`` defaults to 1e-12 times the window length; an accepted
-    step below it is treated as a finite-time singularity. ``stop(t, y)``,
-    when given, is asked after each accepted step that did not escape,
-    with the step's end time and state; when it returns true, the run
-    ends there as ``stopped``. ``dense_output`` keeps every accepted
-    state and derivative, which :meth:`IvpOutcome.interpolate` needs;
-    without it the run keeps its grid, its per-step series and its last
-    state and derivative, O(n + steps) memory instead of O(n * steps).
+    ``min_step`` is 1e-12 times the window length, derived from ``t0``
+    and ``horizon`` so that a copy with another window gets its own; an
+    accepted step below it is treated as a finite-time singularity.
+    ``stop(t, y)``, when given, is asked after each accepted step that
+    did not escape, with the step's end time and state; when it returns
+    true, the run ends there as ``stopped``. ``dense_output`` keeps every
+    accepted state and derivative, which :meth:`IvpOutcome.interpolate`
+    needs; without it the run keeps its grid, its per-step series and
+    its last state and derivative, O(n + steps) memory instead of
+    O(n * steps).
     """
 
     rhs: Rhs
@@ -229,7 +231,6 @@ class IvpSpec:
     rtol: float = 1e-10
     atol: float = 1e-12
     blowup_threshold: float = 1e8
-    min_step: float | None = None
     stop: Callable[[float, np.ndarray], bool] | None = None
     dense_output: bool = True
 
@@ -240,7 +241,7 @@ class IvpSpec:
                              f"{self.y0.shape}")
         if not (math.isfinite(self.t0) and math.isfinite(self.horizon)):
             raise ValueError("t0 and horizon must be finite")
-        if not self.horizon > self.t0:
+        if not self.min_step > 0.0:
             raise ValueError("horizon must exceed t0")
         if not (0.0 < self.rtol < 1.0 and 0.0 < self.atol < 1.0):
             raise ValueError("rtol and atol must lie in (0, 1)")
@@ -248,10 +249,10 @@ class IvpSpec:
             raise ValueError("y0 must be finite")
         if not self.blowup_threshold > float(np.max(np.abs(self.y0))):
             raise ValueError("blowup_threshold must exceed the initial max-norm")
-        if self.min_step is None:
-            self.min_step = 1e-12 * (self.horizon - self.t0)
-        if not self.min_step > 0.0:
-            raise ValueError("min_step must be positive")
+
+    @property
+    def min_step(self) -> float:
+        return 1e-12 * (self.horizon - self.t0)
 
     @property
     def dimension(self) -> int:
@@ -357,14 +358,6 @@ class IvpOutcome:
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return out[0]
         return out
-
-    def max_norm_history(self) -> np.ndarray:
-        """max |y| at every grid time."""
-        return self.max_norms
-
-    def min_history(self) -> np.ndarray:
-        """Smallest entry of the state at every grid time."""
-        return self.minima
 
 
 def _error_norm(stages, h: float, abs_old: np.ndarray, abs_new: np.ndarray,

@@ -33,6 +33,10 @@ from .records import SPEC_VERSION
 _SERIES_SWITCH = 0.2
 _SERIES_TERMS = 28
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# algebra_property_test: modes 1.._MAX_DEGREE per random sine polynomial,
+# and the slack of ||fg|| <= (1 + ALGEBRA_TOLERANCE) ||f|| ||g||
+_MAX_DEGREE = 8
+ALGEBRA_TOLERANCE = 1e-12
 _BLOCK = 1024  # trials per array block of algebra_property_test
 
 
@@ -137,29 +141,25 @@ def ratio_lower_bound(lam: float) -> float:
     return math.sqrt(quad_square_norm_sq(lam)) / quad_norm_sq(lam)
 
 
-def golden_section_max(fn, lo: float, hi: float, tol: float = 1e-4):
-    """Plain golden-section maximization on [lo, hi]; the objective is
-    assumed unimodal there. Returns (argmax, max)."""
-    a, b = float(lo), float(hi)
+def best_ratio():
+    """Maximize the squaring ratio over the family by golden-section
+    search on lam in [0.1, 10], where the ratio is unimodal, down to a
+    bracket of width 1e-4; returns (lam*, ratio*)."""
+    a, b = 0.1, 10.0
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    while b - a > tol:
+    f1, f2 = ratio_lower_bound(x1), ratio_lower_bound(x2)
+    while b - a > 1e-4:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2 = fn(x2)
+            f2 = ratio_lower_bound(x2)
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1 = fn(x1)
+            f1 = ratio_lower_bound(x1)
     mid = 0.5 * (a + b)
-    return mid, fn(mid)
-
-
-def best_ratio(lo: float = 0.1, hi: float = 10.0, tol: float = 1e-4):
-    """Maximize the squaring ratio over the family; returns (lam*, ratio*)."""
-    return golden_section_max(ratio_lower_bound, lo, hi, tol)
+    return mid, ratio_lower_bound(mid)
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +273,13 @@ def metric_norm(coeffs: dict[int, float]) -> float:
     return float(_metric_norms(C)[0])
 
 
-def algebra_property_test(seed: int = 0, trials: int = 10_000,
-                          max_degree: int = 8,
-                          tolerance: float = 1e-12) -> AlgebraReport:
-    """Random sine polynomials, checking ||fg|| <= ||f|| ||g|| every time.
+def algebra_property_test(seed: int = 0,
+                          trials: int = 10_000) -> AlgebraReport:
+    """Random sine polynomials, checking ||fg|| <= ||f|| ||g|| every time,
+    up to a relative slack of ``ALGEBRA_TOLERANCE``.
 
     Each trial draws the coefficients of f, then those of g, uniform on
-    [-1, 1] for modes 1..max_degree. The trials run as one array
+    [-1, 1] for modes 1.._MAX_DEGREE. The trials run as one array
     computation over blocks of at most ``_BLOCK`` trials, so memory does
     not grow with ``trials``; every ratio has the same bits as
     ``product_norm / (metric_norm * metric_norm)`` on the same pair.
@@ -287,13 +287,14 @@ def algebra_property_test(seed: int = 0, trials: int = 10_000,
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
+    tolerance = ALGEBRA_TOLERANCE
     violations = 0
     max_ratio = 0.0
     for start in range(0, trials, _BLOCK):
         n = min(_BLOCK, trials - start)
-        coeffs = rng.uniform(-1.0, 1.0, (n, 2, max_degree))
+        coeffs = rng.uniform(-1.0, 1.0, (n, 2, _MAX_DEGREE))
         F, G = coeffs[:, 0], coeffs[:, 1]
-        ratio = _product_norms(F, G, 4 * max_degree) / (
+        ratio = _product_norms(F, G, 4 * _MAX_DEGREE) / (
             _metric_norms(F) * _metric_norms(G))
         max_ratio = max(max_ratio, float(np.max(ratio)))
         violations += int(np.count_nonzero(ratio > 1.0 + tolerance))

@@ -27,14 +27,11 @@ class WaveDatum:
 
     ``sup_pos`` is clamped at zero (for lifespan purposes an everywhere
     nonpositive datum behaves exactly like one with supremum zero).
-    ``grid_points`` records the sampling resolution when the summary was
-    extracted from function values, None when given directly.
     """
 
     sup_pos: float
     sup_abs: float
     p: int
-    grid_points: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.sup_pos <= self.sup_abs:
@@ -50,7 +47,6 @@ class WaveDatum:
             sup_pos=max(0.0, float(np.max(values))),
             sup_abs=float(np.max(np.abs(values))),
             p=p,
-            grid_points=values.size,
         )
 
 

@@ -73,8 +73,8 @@ def test_escape_is_bracketed_tightly():
     )
     outcome = ode.integrate(spec)
     assert outcome.kind == ode.BLOW_UP
-    assert outcome.max_norm_history()[-1] > 1e6
-    assert np.all(outcome.max_norm_history()[:-1] <= 1e6)
+    assert outcome.max_norms[-1] > 1e6
+    assert np.all(outcome.max_norms[:-1] <= 1e6)
     # the run ends on the escaping step, which is at most 5e-7 long
     assert outcome.times[-1] - outcome.times[-2] <= 5e-7
 
@@ -96,7 +96,7 @@ def test_long_escaping_step_is_halved(horizon, longest):
     assert abs(outcome.t_end - 0.9) <= 1e-6
     last = outcome.times[-1] - outcome.times[-2]
     assert outcome.spec.min_step <= last <= longest
-    norms = outcome.max_norm_history()
+    norms = outcome.max_norms
     assert norms[-1] > 10.0 and np.all(norms[:-1] <= 10.0)
     assert stats.rhs_calls == len(calls)
     # a run that forgot each retry and grew the step past the crossing
@@ -210,7 +210,7 @@ def _package_rhs_cases():
     cases.append(("fd N=64", fd.semidiscrete_rhs(64, 2),
                   rng.normal(size=(64, 5))))
     for p in (2, 3, 4):
-        spec = kaplan._comparison_spec(2.0, p, 1.0, 1e-12, 1e-13)
+        spec = kaplan._comparison_spec(2.0, p, 1.0)
         cases.append((f"kaplan p={p}", spec.rhs,
                       rng.uniform(0.5, 3.0, size=(1, 5))))
     problem = control.ControlProblem(
@@ -253,7 +253,7 @@ def test_rhs_column_contract(name, rhs, states):
 
 
 def _kaplan_outcome():
-    return ode.integrate(kaplan._comparison_spec(2.0, 3, 100.0, 1e-12, 1e-13))
+    return ode.integrate(kaplan._comparison_spec(2.0, 3, 100.0))
 
 
 def _fd_outcome():
@@ -365,8 +365,8 @@ def _assert_fd_run_matches_replay(run, replay):
     spec with the history kept: grid, max-norms, minimum and estimate
     carry the same bits."""
     assert run.times.tobytes() == replay.times.tobytes()
-    assert run.max_norms.tobytes() == replay.max_norm_history().tobytes()
-    assert run.min_value.hex() == float(np.min(replay.min_history())).hex()
+    assert run.max_norms.tobytes() == replay.max_norms.tobytes()
+    assert run.min_value.hex() == float(np.min(replay.minima)).hex()
     assert run.estimate.hex() == replay.t_end.hex()
 
 
@@ -379,8 +379,8 @@ def test_history_reductions_match_the_stacked_states():
     states = np.asarray(replay.states)
     assert replay.final_state.tobytes() == states[-1].tobytes()
     norms = np.max(np.abs(states), axis=1)
-    assert replay.max_norm_history().tobytes() == norms.tobytes()
-    assert replay.min_history().tobytes() == np.min(states, axis=1).tobytes()
+    assert replay.max_norms.tobytes() == norms.tobytes()
+    assert replay.minima.tobytes() == np.min(states, axis=1).tobytes()
     _assert_fd_run_matches_replay(fd.fd_single_run(config), replay)
 
 
@@ -422,6 +422,15 @@ def test_spec_rejects_an_infinite_window():
                         t0=t0, horizon=horizon)
 
 
+def test_min_step_follows_the_window():
+    # a copy with another horizon (how critical-amplitude runs are
+    # replayed without their stop) gets the min_step of its own window
+    spec = ode.IvpSpec(rhs=lambda t, y: -y, y0=np.array([1.0]),
+                       t0=0.0, horizon=1e4)
+    assert spec.min_step == 1e-8
+    assert dataclasses.replace(spec, horizon=50.0).min_step == 5e-11
+
+
 def _counted(rhs):
     """Wrap an RHS so the test sees every call time."""
     calls = []
@@ -448,7 +457,7 @@ def _nan_after_half(t, y):
         (lambda t, y: -2.0 * y, {}, ode.REACHED_HORIZON, ode.HORIZON),
         (lambda t, y: y**2, {"horizon": 5.0, "blowup_threshold": 1e6},
          ode.BLOW_UP, ode.THRESHOLD_ESCAPE),
-        (lambda t, y: y**2, {"horizon": 5.0, "min_step": 1e-3},
+        (lambda t, y: y**2, {"horizon": 1e9},
          ode.BLOW_UP, ode.MIN_STEP_COLLAPSE),
         (_nan_after_half, {"horizon": 2.0}, ode.DOMAIN_EXIT, ode.NONFINITE),
         (lambda t, y: -2.0 * y, {"stop": lambda t, y: y[0] < 0.5},
@@ -550,7 +559,7 @@ def test_escape_on_a_concave_norm_keeps_its_bracket():
     assert outcome.stats.termination == ode.THRESHOLD_ESCAPE
     assert outcome.times[-1] - outcome.times[-2] <= 5e-7
     assert abs(outcome.t_end - math.asin(0.9)) <= 1e-6
-    norms = outcome.max_norm_history()
+    norms = outcome.max_norms
     assert norms[-1] > 0.9 and np.all(norms[:-1] <= 0.9)
     assert outcome.stats.rhs_calls == len(calls) <= 320
 

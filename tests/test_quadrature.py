@@ -149,6 +149,18 @@ def test_no_route_loads_scipy(tmp_path):
     assert out[-2] == "[0, 0]"
 
 
+def test_root_import_loads_no_submodule():
+    # the package root re-exports nothing: callers import submodules
+    src = os.path.dirname(os.path.dirname(os.path.abspath(evocontrol.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, evocontrol; print(sorted("
+         "m for m in sys.modules if m.startswith('evocontrol.')))"],
+        env=dict(os.environ, PYTHONPATH=src), check=True,
+        capture_output=True, text=True,
+    ).stdout
+    assert out == "[]\n"
+
+
 def test_gauss_kronrod_constants():
     nodes, kronrod, gauss = qd._GK21.T
     x, _ = np.polynomial.legendre.leggauss(10)

@@ -141,11 +141,12 @@ def test_blocks_follow_the_per_trial_stream():
     assert report.trials == trials
 
 
-def test_violations_are_counted():
+def test_violations_are_counted(monkeypatch):
     # with a negative tolerance every positive ratio is a violation
-    report = sobolev.algebra_property_test(seed=3, trials=1500,
-                                           tolerance=-1.0)
+    monkeypatch.setattr(sobolev, "ALGEBRA_TOLERANCE", -1.0)
+    report = sobolev.algebra_property_test(seed=3, trials=1500)
     assert report.violations == 1500
+    assert report.to_dict()["tolerance"] == -1.0
     assert not report.passed
 
 

@@ -34,11 +34,14 @@ RUNS = {
     "critical_p3": ["critical", "--p", "3"],
     "limit": ["limit"],
     "kaplan": ["kaplan", "--A", "4", "--A", "10"],
+    # the Kaplan quadrature and comparison ODE at p != 2
+    "kaplan_p3": ["kaplan", "--p", "3", "--A", "4", "--A", "10"],
     "fd": ["fd", "--A", "100", "--profile-time", "0.5"],
     # a norms CSV from a long fine run (1,123 steps on 512 points)
     "fd_A20": ["fd", "--A", "20"],
     "picard": ["picard", "--A", "1", "--horizon", "2"],
     "wave": ["wave"],
+    "wave_p3": ["wave", "--p", "3"],
     # non-default mode sets through every entry point that looks up a model
     "critical_modes": ["critical", "--modes", "1,3,5"],
     "limit_modes": ["limit", "--modes", "1,3,5,7,9"],
