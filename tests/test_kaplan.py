@@ -71,6 +71,16 @@ def test_comparison_solution_properties():
         kaplan.comparison_solution(2.0, 2, 1.0)
 
 
+def test_comparison_solution_matches_closed_form():
+    # S(t) = (1 - (1 - q0^(1-p)) e^((p-1)t))^(-1/(p-1)), above and below
+    # the fixed point S = 1
+    for q0, p, t in ((2.0, 2, 0.5), (0.5, 2, 1.5), (1.5, 3, 0.2),
+                     (0.8, 3, 2.0), (2.0, 4, 0.02)):
+        exact = (1.0 - (1.0 - q0 ** (1 - p)) * math.exp((p - 1) * t)) ** (
+            -1.0 / (p - 1))
+        assert abs(kaplan.comparison_solution(q0, p, t) - exact) <= 1e-9 * exact
+
+
 def test_comparison_blowup_matches_closed_form():
     q0 = 2.0 / heat.C_K
     closed = kaplan.kaplan_time(q0, 2)

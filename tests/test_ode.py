@@ -682,10 +682,28 @@ def test_pinned_bits_coupled_scenario(monkeypatch):
 def test_pinned_bits_kaplan_comparison(monkeypatch):
     t_esc, outcomes, digest = _run_digest(
         monkeypatch, lambda: kaplan.comparison_blowup_time(2.0, 3))
-    assert t_esc.hex() == "0x1.269620e929645p-3"
-    assert len(outcomes[0].times) == 228
+    assert t_esc.hex() == "0x1.269620fbdc060p-3"
+    assert len(outcomes[0].times) == 130
     assert digest == (
-        "e2acc3113b5fae034d4367734f9481815b6f3af53657a833c3663c1543b3642d")
+        "5556c1b584ca2c73487c60e784b745fa19ba8eb0f7cf5ac21aefa33158e99dec")
+
+
+def test_comparison_escape_error_budget(monkeypatch):
+    # every escape step comes before the true blow-up, so the ODE time
+    # is below the closed form: at p = 2 the run stops on the 1e8
+    # threshold (about 1e-8 of time left), at p >= 3 on a min-step
+    # collapse (under 1e-9 left)
+    pairs = [(q0, p) for q0 in (1.1, 1.2535, 2.0, 5.0, 50.0)
+             for p in (2, 3, 4)]
+    gaps, outcomes, _ = _run_digest(monkeypatch, lambda: [
+        kaplan.kaplan_time(q0, p) - kaplan.comparison_blowup_time(q0, p)
+        for q0, p in pairs])
+    assert len(outcomes) == len(pairs)
+    for (q0, p), gap, outcome in zip(pairs, gaps, outcomes):
+        budget = 2e-8 if p == 2 else 1e-9
+        assert 0.0 < gap <= budget, (q0, p, gap)
+        assert outcome.stats.termination == (
+            ode.THRESHOLD_ESCAPE if p == 2 else ode.MIN_STEP_COLLAPSE)
 
 
 def test_pinned_bits_fd_run(monkeypatch):
