@@ -16,14 +16,7 @@ from evocontrol import control, ode
 def run(U, B, P, p, f0, label):
     tn = control.tn_closed(U, B, P, p, f0)
     window = 2.0 if math.isinf(tn) else 0.9 * tn
-    problem = control.ControlProblem(
-        semigroup=control.SemigroupEstimator(U=U, B=B),
-        errors=control.ErrorEstimators.constant(delta=f0),
-        growth=control.PolynomialGrowth.pure_power(P, p),
-        t0=0.0,
-        horizon=window,
-    )
-    outcome = ode.integrate(control.as_ivp(problem))
+    outcome = ode.integrate(control.pure_power_ivp(U, B, P, p, f0, window))
     worst = 0.0
     for t in np.linspace(0.0, window, 25)[1:]:
         got = float(outcome.interpolate(float(t))[0])

@@ -1,17 +1,20 @@
-"""Scalar control equations certifying error tubes around approximate flows.
+"""The scalar control equation certifying error tubes around approximate flows.
 
-Given a decaying-exponential bound ``u(t) = U exp(-B t)`` on the linear
-propagator, a datum error ``delta``, a differential error ``eps(t)`` and
-a polynomial growth estimator ``ell(r, t) = sum_j c_j(t) r**j``, the
-scalar problem
+Given a decaying-exponential bound ``U exp(-B t)`` on the linear
+propagator, a differential error ``eps``, the multiplication constant
+``P`` and the growth ``ell(R) = (norm + R)^p - norm^p`` of the power
+nonlinearity at distance R from a state of size ``norm``, the tube
+radius obeys
 
-    dR/dt = U eps(t) + U ell(R, t) - B R,      R(t0) = U delta,
+    dR/dt = U (eps + P ell(R)) - B R
 
-dominates the distance between the approximate and the exact trajectory
-for as long as R exists and stays inside the growth radius. For the pure
-power nonlinearity (single coefficient ``P`` on ``r**p`` and ``eps = 0``)
-both the lifespan guarantee and the tube radius have closed forms, which
-this module exposes as :func:`tn_closed` and :func:`r_closed`.
+and dominates the distance between the approximate and the exact
+trajectory for as long as R exists. :func:`tube_rate` is this
+right-hand side, written once: the R row of the coupled (a, R) system
+of :mod:`evocontrol.heat` and the pure-power IVP :func:`pure_power_ivp`
+both evaluate it. For the pure power (norm = 0, eps = 0, R(0) =
+U norm_f0) both the lifespan guarantee and the tube radius have closed
+forms, :func:`tn_closed` and :func:`r_closed`.
 
 Infinite lifespans are represented by ``math.inf`` and only ever
 compared, never fed into arithmetic.
@@ -20,117 +23,11 @@ compared, never fed into arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 from . import ode
-from .errors import GrowthDomainError, OutOfDomainError
-
-
-@dataclass(frozen=True)
-class SemigroupEstimator:
-    """Exponential bound ``u(t) = U exp(-B t)`` on the linear flow, U >= 1."""
-
-    U: float
-    B: float
-
-    def __post_init__(self):
-        if not self.U >= 1.0:
-            raise ValueError("U must be >= 1")
-
-
-@dataclass(frozen=True)
-class ErrorEstimators:
-    """Datum error (a number) and differential error (a function of time)."""
-
-    delta: float
-    eps: Callable[[float], float]
-
-    def __post_init__(self):
-        if not self.delta >= 0.0:
-            raise ValueError("delta must be >= 0")
-
-    @staticmethod
-    def constant(delta: float, eps_value: float = 0.0) -> "ErrorEstimators":
-        return ErrorEstimators(delta=delta, eps=lambda t: eps_value)
-
-
-@dataclass(frozen=True)
-class PolynomialGrowth:
-    """Growth estimator ``ell(r, t) = sum_{j=1..p} c_j(t) r**j``.
-
-    ``coeffs`` maps a time to the sequence (c_1(t), ..., c_p(t)); all
-    coefficients must be nonnegative. ``radius`` is the validity radius
-    in r (``math.inf`` for globally valid estimators). There is no
-    constant term, so ell(0, t) = 0 by construction.
-    """
-
-    coeffs: Callable[[float], Sequence[float]]
-    radius: float = math.inf
-
-    def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ValueError("radius must be positive")
-
-    def ell(self, r: float, t: float) -> float:
-        if r >= self.radius:
-            raise GrowthDomainError(
-                f"growth estimator evaluated at r={r} >= radius={self.radius}"
-            )
-        c = np.asarray(self.coeffs(t), dtype=float)
-        if c.size and float(np.min(c)) < 0.0:
-            raise ValueError("growth coefficients must be nonnegative")
-        # Horner evaluation of c_1 r + ... + c_p r^p
-        acc = 0.0
-        for cj in c[::-1]:
-            acc = (acc + cj) * r
-        return acc
-
-    @staticmethod
-    def from_constants(constants: Sequence[float],
-                       radius: float = math.inf) -> "PolynomialGrowth":
-        frozen = tuple(float(c) for c in constants)
-        if any(c < 0.0 for c in frozen):
-            raise ValueError("growth coefficients must be nonnegative")
-        return PolynomialGrowth(coeffs=lambda t: frozen, radius=radius)
-
-    @staticmethod
-    def pure_power(P: float, p: int, radius: float = math.inf) -> "PolynomialGrowth":
-        check_power(p)
-        constants = [0.0] * (p - 1) + [float(P)]
-        return PolynomialGrowth.from_constants(constants, radius)
-
-
-@dataclass(frozen=True)
-class ControlProblem:
-    semigroup: SemigroupEstimator
-    errors: ErrorEstimators
-    growth: PolynomialGrowth
-    t0: float
-    horizon: float
-
-    def __post_init__(self):
-        if not self.horizon > self.t0:
-            raise ValueError("horizon must exceed t0")
-
-    @property
-    def r0(self) -> float:
-        return self.semigroup.U * self.errors.delta
-
-
-def control_rhs(problem: ControlProblem, R: float, t: float) -> float:
-    """Right-hand side U eps(t) + U ell(R, t) - B R of the control equation.
-
-    Raises :class:`GrowthDomainError` when R is at or past the growth
-    radius (the certificate is void there).
-    """
-    U = problem.semigroup.U
-    eps_t = problem.errors.eps(t)
-    if eps_t < 0.0:
-        raise ValueError("differential error estimator must be nonnegative")
-    return U * eps_t + U * problem.growth.ell(R, t) - problem.semigroup.B * R
+from .errors import OutOfDomainError
 
 
 def check_power(p) -> None:
@@ -154,6 +51,18 @@ def power_growth(norm: float, r: float, p: int) -> float:
         norm_pow *= norm
         acc = (acc + math.comb(p, j) * norm_pow) * r
     return acc
+
+
+def tube_rate(R, eps, norm, p: int, U: float, B: float, P: float):
+    """Right-hand side U (eps + P ell(R)) - B R of the control equation,
+    with ell(R) = :func:`power_growth` (norm, R, p).
+
+    R, eps and norm are floats or numpy arrays that broadcast together;
+    only + and * act on them, so every entry of an array result has the
+    bits of the scalar call. p is not checked here: every caller has
+    validated it, and this sits in the integrators' hot path.
+    """
+    return U * (eps + P * power_growth(norm, R, p)) - B * R
 
 
 def _lifespan_kernel(u: float, B: float) -> float:
@@ -215,26 +124,17 @@ def _check_pure_power_args(U, B, P, p, norm_f0):
         raise ValueError("norm_f0 must be >= 0")
 
 
-def as_ivp(problem: ControlProblem) -> ode.IvpSpec:
-    """Wrap a control problem as a one-dimensional IVP, with the
-    integrator's default tolerances and escape threshold.
-
-    Leaving the growth radius is signalled to the integrator by a
-    non-finite right-hand side, so such runs end in a domain exit rather
-    than an exception mid-step. The right-hand side takes one state of
-    shape (1,) or states as the columns of a (1, S) array with times of
-    shape (S,), and evaluates the scalar equation column by column.
-    """
-    radius = problem.growth.radius
+def pure_power_ivp(U: float, B: float, P: float, p: int, norm_f0: float,
+                   horizon: float) -> ode.IvpSpec:
+    """The pure-power control problem R' = U P R^p - B R, R(0) = U
+    norm_f0, on [0, horizon] as a one-dimensional IVP with the
+    integrator's default tolerances and escape threshold; its solution
+    is :func:`r_closed`. The right-hand side takes one state of shape
+    (1,) or states as the columns of a (1, S) array."""
+    _check_pure_power_args(U, B, P, p, norm_f0)
 
     def rhs(t, y: np.ndarray) -> np.ndarray:
-        out = [math.inf if R >= radius else control_rhs(problem, R, s)
-               for R, s in np.broadcast(y[0], t)]
-        return np.reshape(out, y.shape)
+        return tube_rate(y, 0.0, 0.0, p, U, B, P)
 
-    return ode.IvpSpec(
-        rhs=rhs,
-        y0=np.array([problem.r0]),
-        t0=problem.t0,
-        horizon=problem.horizon,
-    )
+    return ode.IvpSpec(rhs=rhs, y0=np.array([U * norm_f0]), t0=0.0,
+                       horizon=horizon)

@@ -9,10 +9,6 @@ class OutOfDomainError(EvocontrolError):
     """A closed-form expression was evaluated outside its domain of validity."""
 
 
-class GrowthDomainError(EvocontrolError):
-    """A growth estimator was evaluated at or beyond its radius of validity."""
-
-
 class QuadratureError(EvocontrolError):
     """Adaptive quadrature failed to reach the requested tolerance.
 

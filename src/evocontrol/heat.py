@@ -5,11 +5,13 @@ with the scalar control equation of :mod:`evocontrol.control`: the state
 is (a, R) where a are the reduced coordinates and R the error-tube
 radius, with
 
-    da^k/dt = X^k(a),      dR/dt = U (eps_hat(a) + ell(R)) - B R,
+    da^k/dt = X^k(a),   dR/dt = tube_rate(R, eps_hat(a), ||phi||, p, U, B, P),
 
-from a(0) = (A, 0, ...), R(0) = 0, where ell(R) = (||phi|| + R)^p -
-||phi||^p is :func:`evocontrol.control.power_growth` and U, B are the
-module constants. A finite escape time of this system (the reduced
+from a(0) = (A, 0, ...), R(0) = 0, where
+:func:`evocontrol.control.tube_rate` is the control equation's one
+implementation, with the growth ell(R) = (||phi|| + R)^p - ||phi||^p of
+the power at the Galerkin state phi, and U, B, P are the module
+constants. A finite escape time of this system (the reduced
 existence time, t_g) is a certified lower bound for the true existence
 time; for A past the positivity threshold C_K the spectral projection
 onto the ground mode supplies the upper bound t_k (see
@@ -39,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import galerkin, ode
-from .control import check_power, power_growth, tn_closed
+from .control import check_power, tn_closed, tube_rate
 from .errors import BracketError, EvocontrolError
 from .kaplan import kaplan_time
 from .records import SPEC_VERSION, ext_pair, write_csv
@@ -169,9 +171,8 @@ def _coupled_rhs(model: galerkin.GalerkinModel, linear_factor: float):
         norm = sqrt(metric @ (a * a))
         out = np.empty_like(y)
         out[:m] = (lam * rows + c).T
-        out[m] = (U * (sqrt(missed_sq(form, power, c))
-                       + power_growth(norm, R, p))
-                  - damping * R)
+        out[m] = tube_rate(R, sqrt(missed_sq(form, power, c)), norm, p,
+                           U, damping, P)
         return out
 
     return rhs
@@ -297,8 +298,9 @@ def critical_amplitude(p: int = 2, modes: Sequence[int] = (1, 3),
     step T where one of two certificates of that system decides it, with
     U = B = P = 1, M = ||phi|| + R and eps = eps_hat(a) >= 0:
 
-    * escape, when R(T) > 1. ell(R) = (||phi|| + R)^p - ||phi||^p >= R^p,
-      so R > 1 => R' >= R^p - R > 0, and R escapes in finite time;
+    * escape, when R(T) > 1. ell(R) = (||phi|| + R)^p - ||phi||^p >= R^p
+      and eps >= 0, so R' >= tube_rate(R, 0, 0, p, 1, 1, 1) = R^p - R,
+      which is positive for R > 1, and R escapes in finite time;
     * settled, when M(T) < 2^(-1/(2(p-1))), which is 1/sqrt(2) at p = 2.
       The modes are eigenfunctions with eigenvalues -k^2 <= -1, so
       d||phi||/dt <= -||phi|| + ||Pi phi^p||, and

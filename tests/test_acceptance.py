@@ -108,14 +108,7 @@ def test_criterion_04_closed_form_consistency():
             window = 0.9 * control.tn_closed(U, B, P, p, f0)
         else:
             window = 2.0
-        problem = control.ControlProblem(
-            semigroup=control.SemigroupEstimator(U=U, B=B),
-            errors=control.ErrorEstimators.constant(delta=f0),
-            growth=control.PolynomialGrowth.pure_power(P, p),
-            t0=0.0,
-            horizon=window,
-        )
-        outcome = ode.integrate(control.as_ivp(problem))
+        outcome = ode.integrate(control.pure_power_ivp(U, B, P, p, f0, window))
         assert outcome.kind == ode.REACHED_HORIZON
         for t in np.linspace(0.0, window, 17)[1:]:
             got = float(outcome.interpolate(float(t))[0])

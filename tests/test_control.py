@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from evocontrol import control, fd, galerkin, heat, kaplan, ode, picard, wave
-from evocontrol.errors import GrowthDomainError, OutOfDomainError
+from evocontrol.errors import OutOfDomainError
 
 # (U, B, P, p, norm_f0) -> {t: R_reference}
 _RADAU_REFERENCE = {
@@ -87,7 +87,7 @@ def test_every_entry_point_rejects_a_power_that_is_not_an_integer_above_one():
             lambda: control.tn_closed(1.0, 0.0, 1.0, p, 1.0),
             lambda: control.r_closed(1.0, 0.0, 1.0, p, 1.0, 0.1),
             lambda: kaplan.kaplan_time(2.0, p),
-            lambda: control.PolynomialGrowth.pure_power(1.0, p),
+            lambda: control.pure_power_ivp(1.0, 0.0, 1.0, p, 1.0, 1.0),
             lambda: fd.FdConfig(A=1.0, p=p),
             lambda: wave.WaveDatum(sup_pos=0.5, sup_abs=1.0, p=p),
             lambda: kaplan.sn_iteration(2.0, p, 3, 0.5),
@@ -108,20 +108,32 @@ def test_rhs_is_the_derivative_of_the_closed_form():
         f0 = rng.uniform(0.2, 1.5)
         tn = control.tn_closed(U, B, P, p, f0)
         t = rng.uniform(0.05, 0.6) * min(tn, 3.0)
-        problem = control.ControlProblem(
-            semigroup=control.SemigroupEstimator(U=U, B=B),
-            errors=control.ErrorEstimators.constant(f0),
-            growth=control.PolynomialGrowth.pure_power(P, p),
-            t0=0.0,
-            horizon=10.0,
-        )
         h = 1e-6 * max(1.0, t)
         num = (
             control.r_closed(U, B, P, p, f0, t + h)
             - control.r_closed(U, B, P, p, f0, t - h)
         ) / (2.0 * h)
-        rhs = control.control_rhs(problem, control.r_closed(U, B, P, p, f0, t), t)
+        spec = control.pure_power_ivp(U, B, P, p, f0, 10.0)
+        R = control.r_closed(U, B, P, p, f0, t)
+        rhs = float(spec.rhs(t, np.array([R]))[0])
         assert abs(num - rhs) <= 1e-5 * max(1.0, abs(rhs))
+
+
+def test_tube_rate_on_arrays_gives_the_bits_of_scalar_calls():
+    # the coupled (a, R) system and the dense output evaluate the rate
+    # on rows of states; each entry must be the scalar call's float
+    rng = np.random.default_rng(23)
+    R = rng.uniform(0.0, 5.0, 40)
+    eps = rng.uniform(0.0, 2.0, 40)
+    norm = rng.uniform(0.0, 3.0, 40)
+    for p in (2, 3, 4):
+        for U, B, P in ((1.0, 1.0, 1.0), (1.5, 0.8, 0.7), (1.0, 0.0, 1.0)):
+            batch = control.tube_rate(R, eps, norm, p, U, B, P)
+            assert batch.shape == R.shape
+            for j in range(R.size):
+                one = control.tube_rate(float(R[j]), float(eps[j]),
+                                        float(norm[j]), p, U, B, P)
+                assert np.float64(one).tobytes() == batch[j].tobytes()
 
 
 def test_integral_estimator_constant_eps():
@@ -153,46 +165,17 @@ def test_power_growth_matches_exact_rationals():
             assert control.power_growth(norm, 0.0, p) == 0.0
 
 
-def test_growth_estimator_domain_and_signs():
-    growth = control.PolynomialGrowth.from_constants([0.5, 2.0], radius=3.0)
-    assert abs(growth.ell(1.0, 0.0) - 2.5) < 1e-15
-    with pytest.raises(GrowthDomainError):
-        growth.ell(3.0, 0.0)
-    with pytest.raises(ValueError):
-        control.PolynomialGrowth.from_constants([-1.0, 1.0])
-    with pytest.raises(ValueError):
-        control.ErrorEstimators.constant(-0.1)
+def test_pure_power_ivp_rejects_a_negative_datum():
+    with pytest.raises(ValueError, match="norm_f0"):
+        control.pure_power_ivp(1.0, 0.0, 1.0, 2, -0.1, 1.0)
 
 
 def test_ivp_wrapper_reproduces_closed_form():
     U, B, P, p, f0 = 1.0, 0.5, 1.0, 2, 2.0
     tn = control.tn_closed(U, B, P, p, f0)
-    problem = control.ControlProblem(
-        semigroup=control.SemigroupEstimator(U=U, B=B),
-        errors=control.ErrorEstimators.constant(f0),
-        growth=control.PolynomialGrowth.pure_power(P, p),
-        t0=0.0,
-        horizon=0.9 * tn,
-    )
-    outcome = ode.integrate(control.as_ivp(problem))
+    outcome = ode.integrate(control.pure_power_ivp(U, B, P, p, f0, 0.9 * tn))
     assert outcome.kind == ode.REACHED_HORIZON
     for t in np.linspace(0.0, 0.9 * tn, 19):
         exact = control.r_closed(U, B, P, p, f0, float(t))
         got = outcome.interpolate(float(t))[0]
         assert abs(got - exact) <= 1e-6 * max(1.0, exact)
-
-
-def test_ivp_wrapper_domain_exit_at_growth_radius():
-    # a finite validity radius turns the certificate loss into a domain
-    # exit instead of a silent extrapolation
-    problem = control.ControlProblem(
-        semigroup=control.SemigroupEstimator(U=1.0, B=0.0),
-        errors=control.ErrorEstimators.constant(1.0),
-        growth=control.PolynomialGrowth.pure_power(1.0, 2, radius=5.0),
-        t0=0.0,
-        horizon=2.0,
-    )
-    outcome = ode.integrate(control.as_ivp(problem))
-    assert outcome.kind == ode.DOMAIN_EXIT
-    # R(t) = 1/(1-t) hits the radius 5 at t = 0.8
-    assert abs(outcome.t_end - 0.8) <= 1e-3

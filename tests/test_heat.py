@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -169,35 +170,28 @@ def test_empirical_curve_is_a_lower_bound_on_escape():
 
 
 def test_coupled_rhs_is_the_control_equation():
-    # the R-component of the (a, R) right-hand side is the general
-    # control_rhs with the module's U and B (B scaled like the linear
-    # terms), eps = eps_hat(a) and the binomial growth coefficients
-    # C(p, j) ||phi||^(p-j); the bound is relative to the sum of the
-    # magnitudes of its three terms
+    # the R-component of the (a, R) right-hand side is
+    # U (eps + (||phi|| + R)^p - ||phi||^p) - B R with the module's U and
+    # B (B scaled like the linear terms) and eps = eps_hat(a), here
+    # evaluated exactly in rationals from the same eps and ||phi||; the
+    # bound is relative to the sum of the magnitudes of its terms
     rng = np.random.default_rng(17)
     for modes, p in (((1, 3), 2), ((1, 3, 5), 3)):
         model = galerkin.build_model(modes, p)
         for linear_factor in (1.0, 0.0):
             rhs = heat._coupled_rhs(model, linear_factor)
-            semigroup = control.SemigroupEstimator(U=heat.U,
-                                                   B=linear_factor * heat.B)
+            U = Fraction(heat.U)
+            B = Fraction(linear_factor * heat.B)
             for _ in range(25):
                 a = rng.uniform(-2.0, 2.0, len(modes))
                 R = rng.uniform(0.0, 3.0)
-                norm = model.basis.norm(a)
-                eps = galerkin.epsilon_hat(model, a)
-                growth = control.PolynomialGrowth.from_constants(
-                    [math.comb(p, j) * norm ** (p - j) for j in range(1, p + 1)]
-                )
-                problem = control.ControlProblem(
-                    semigroup=semigroup,
-                    errors=control.ErrorEstimators.constant(0.0, eps),
-                    growth=growth, t0=0.0, horizon=1.0,
-                )
-                expected = control.control_rhs(problem, R, 0.0)
+                norm = Fraction(model.basis.norm(a))
+                eps = Fraction(galerkin.epsilon_hat(model, a))
+                ell = (norm + Fraction(R)) ** p - norm**p
+                expected = U * (eps + ell) - B * Fraction(R)
                 got = rhs(0.0, np.append(a, R))[len(modes)]
-                scale = heat.U * (eps + growth.ell(R, 0.0)) + semigroup.B * R
-                assert abs(got - expected) <= 1e-14 * scale
+                scale = U * (eps + ell) + B * Fraction(R)
+                assert abs(Fraction(got) - expected) <= 1e-14 * scale
 
 
 def test_scenario_record_round_trip(tmp_path):

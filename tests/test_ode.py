@@ -213,16 +213,9 @@ def _package_rhs_cases():
         spec = kaplan._comparison_spec(2.0, p, 1.0)
         cases.append((f"kaplan p={p}", spec.rhs,
                       rng.uniform(0.5, 3.0, size=(1, 5))))
-    problem = control.ControlProblem(
-        semigroup=control.SemigroupEstimator(U=1.5, B=0.5),
-        errors=control.ErrorEstimators(delta=0.1, eps=lambda t: 0.1 * t),
-        growth=control.PolynomialGrowth.pure_power(1.0, 2, radius=5.0),
-        t0=0.0,
-        horizon=1.0,
-    )
-    # one column past the growth radius, where the value is inf
-    cases.append(("control", control.as_ivp(problem).rhs,
-                  np.array([[0.0, 0.3, 2.0, 4.9, 5.5]])))
+    cases.append(("control",
+                  control.pure_power_ivp(1.5, 0.5, 0.7, 3, 0.1, 1.0).rhs,
+                  np.array([[0.0, 0.3, 1.0, 2.0, 4.9]])))
     return cases
 
 

@@ -18,8 +18,10 @@ import sys
 
 RUNS = {
     "table": ["table"],
-    # the only run at p != 2, where the growth ell has three terms
+    # the table at p = 3, where the growth ell sums three terms
     "table_p3": ["table", "--p", "3"],
+    # the only coupled (a, R) run at p = 4, where ell sums four terms
+    "table_p4": ["table", "--p", "4", "--A", "4", "--A", "10"],
     "scenario": ["scenario", "--A", "4"],
     # a threshold the controller reaches on long steps, so the escaping
     # step is found by shortening the step that crossed it
