@@ -70,6 +70,8 @@ def _add_common(sp, *, amplitudes=None, tolerances=False, modes=False,
         sp.add_argument(
             "--blowup-threshold", type=float, default=1e8,
             dest="blowup_threshold",
+            help="a run escapes once R or a coordinate passes it "
+                 "(default 1e8)",
         )
     _add_out(sp)
 

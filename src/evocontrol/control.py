@@ -10,11 +10,12 @@ radius obeys
 
 and dominates the distance between the approximate and the exact
 trajectory for as long as R exists. :func:`tube_rate` is this
-right-hand side, written once: the R row of the coupled (a, R) system
-of :mod:`evocontrol.heat` and the pure-power IVP :func:`pure_power_ivp`
-both evaluate it. For the pure power (norm = 0, eps = 0, R(0) =
-U norm_f0) both the lifespan guarantee and the tube radius have closed
-forms, :func:`tn_closed` and :func:`r_closed`.
+right-hand side, written once: the sigma = (1 + R)^(1-p) row of the
+coupled system of :mod:`evocontrol.heat`, (1-p) (1 + R)^(-p) times it,
+and the pure-power IVP :func:`pure_power_ivp` both evaluate it. For
+the pure power (norm = 0, eps = 0, R(0) = U norm_f0) both the lifespan
+guarantee and the tube radius have closed forms, :func:`tn_closed` and
+:func:`r_closed`.
 
 Infinite lifespans are represented by ``math.inf`` and only ever
 compared, never fed into arithmetic.

@@ -126,7 +126,7 @@ def project_power(form: EpsilonForm, a: np.ndarray):
     span element phi with coordinates ``a`` of shape (m,) or (N, m).
 
     This is the package's one Galerkin kernel: the reduced field, the
-    residual norm, the (a, R) right-hand side and the Picard
+    residual norm, the (a, sigma) right-hand side and the Picard
     nonlinearity all evaluate through it.
     """
     power = a.dot(form.samples)  # phi and phi' on the nodes

@@ -1,9 +1,8 @@
 """Certified existence windows for u_t = u_xx + u^p with datum A s_1.
 
 The module couples the spectral reduction of :mod:`evocontrol.galerkin`
-with the scalar control equation of :mod:`evocontrol.control`: the state
-is (a, R) where a are the reduced coordinates and R the error-tube
-radius, with
+with the scalar control equation of :mod:`evocontrol.control`: a are
+the reduced coordinates and R the error-tube radius, with
 
     da^k/dt = X^k(a),   dR/dt = tube_rate(R, eps_hat(a), ||phi||, p, U, B, P),
 
@@ -11,13 +10,32 @@ from a(0) = (A, 0, ...), R(0) = 0, where
 :func:`evocontrol.control.tube_rate` is the control equation's one
 implementation, with the growth ell(R) = (||phi|| + R)^p - ||phi||^p of
 the power at the Galerkin state phi, and U, B, P are the module
-constants. A finite escape time of this system (the reduced
-existence time, t_g) is a certified lower bound for the true existence
-time; for A past the positivity threshold C_K the spectral projection
-onto the ground mode supplies the upper bound t_k (see
-:mod:`evocontrol.kaplan`). Rescaling state and time by A removes
-the amplitude from the problem and yields the large-A asymptotics of
-both bounds.
+constants. A finite escape time of R (the reduced existence time, t_g)
+is a certified lower bound for the true existence time; for A past the
+positivity threshold C_K the spectral projection onto the ground mode
+supplies the upper bound t_k (see :mod:`evocontrol.kaplan`). Rescaling
+state and time by A removes the amplitude from the problem and yields
+the large-A asymptotics of both bounds.
+
+The integrated state is (a, sigma) with sigma = (1 + R)^(1-p), the
+classical change of variable that turns a blow-up into a zero crossing
+(Stuart & Floater, On the computation of blow-up, Eur. J. Appl. Math.
+1, 1990): sigma(0) = 1, and
+
+    dsigma/dt = (1-p) (1 + R)^(-p) tube_rate(R, ...),
+    R = tube_radius(sigma, p),
+
+tends to -(p-1) as R escapes, so the run crosses the escape level
+(1 + blowup_threshold)^(1-p) on a few long steps instead of chasing R
+to the threshold, and t_g is that crossing, located inside the step
+that made it. Every reader of R converts sigma with
+:func:`tube_radius`. The integrator controls the error of sigma, not of
+R. Against the same runs at rtol 1e-13, atol 1e-15, at A = 2: R keeps
+2.7e-10 relative accuracy while R < 1, as when R itself was integrated,
+and 7.6e-9 for 1 <= R < 1e3, against 6.1e-9; runs that reach their
+horizon keep max |R error| at 1.2e-11 of max R. t_g, located on the
+dense output, agrees with the tight run's to 2.2e-11 relative at
+A = 1.6 to 20.
 
 Amplitude thresholds, all computed rather than hard-coded:
 
@@ -93,6 +111,11 @@ def _datum_column(modes: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class HeatScenario:
+    """One coupled run: datum A s_1, power p, Galerkin modes, the time
+    window and tolerances of the integration. The run escapes once R or
+    a coordinate passes ``blowup_threshold``; the tolerances control a
+    and sigma = (1 + R)^(1-p), not R itself."""
+
     A: float
     p: int = 2
     modes: tuple[int, ...] = (1, 3)
@@ -113,6 +136,9 @@ class HeatScenario:
             raise ValueError("horizon must be positive and finite")
         if not (0.0 < self.rtol < 1.0 and 0.0 < self.atol < 1.0):
             raise ValueError("rtol and atol must lie in (0, 1)")
+        # the engine's max-norm covers the datum and sigma(0) = 1
+        if not self.blowup_threshold > max(self.A, 1.0):
+            raise ValueError("blowup_threshold must exceed A and 1")
 
 
 @dataclass(frozen=True)
@@ -143,10 +169,29 @@ class ScenarioResult:
     trajectory: TrajectorySamples
 
 
+def tube_radius(sigma, p: int):
+    """The tube radius R = sigma^(1/(1-p)) - 1 of sigma = (1 + R)^(1-p),
+    on floats or numpy arrays.
+
+    The power is the odd real root sign(sigma) |sigma|^(1/(1-p)), so it
+    is defined past sigma = 0 for every p, where the run's last step may
+    reach: there R < -1, and the sigma row, a polynomial in
+    1/(1 + R) = sign(sigma) |sigma|^(1/(p-1)), stays finite and
+    continuous, tending to -(p-1) U P from both sides. At p = 2 this is
+    R = 1/sigma - 1."""
+    return sigma * abs(sigma) ** (p / (1.0 - p)) - 1.0
+
+
+def _escape_level(threshold: float, p: int) -> float:
+    """sigma at R = threshold."""
+    return (1.0 + threshold) ** (1 - p)
+
+
 def _coupled_rhs(model: galerkin.GalerkinModel, linear_factor: float):
-    """Vectorized right-hand side for the (a, R) system: one state of
-    shape (m+1,), or states as the columns of an (m+1, S) array (the
-    column contract of :class:`evocontrol.ode.IvpSpec`).
+    """Vectorized right-hand side for the (a, sigma) system: one state
+    of shape (m+1,), or states as the columns of an (m+1, S) array (the
+    column contract of :class:`evocontrol.ode.IvpSpec`). The sigma row
+    is (1-p) (1 + R)^(-p) tube_rate(R, ...) at R = tube_radius(sigma).
 
     ``linear_factor`` scales the linear (dissipative) terms: 1 for the
     physical system, 0 for the large-amplitude limit of the rescaled
@@ -165,14 +210,14 @@ def _coupled_rhs(model: galerkin.GalerkinModel, linear_factor: float):
 
     def rhs(t, y: np.ndarray) -> np.ndarray:
         a = y[:m]
-        R = y[m]
+        R = tube_radius(y[m], p)
         rows = a.T
         c, power = project(form, rows)
         norm = sqrt(metric @ (a * a))
         out = np.empty_like(y)
         out[:m] = (lam * rows + c).T
-        out[m] = tube_rate(R, sqrt(missed_sq(form, power, c)), norm, p,
-                           U, damping, P)
+        out[m] = (1 - p) * (1.0 + R) ** -p * tube_rate(
+            R, sqrt(missed_sq(form, power, c)), norm, p, U, damping, P)
         return out
 
     return rhs
@@ -182,11 +227,20 @@ def _coupled_spec(model: galerkin.GalerkinModel, scenario: HeatScenario,
                   linear_factor: float = 1.0,
                   stop: Callable[[float, np.ndarray], bool] | None = None,
                   ) -> ode.IvpSpec:
-    """The (a, R) IVP of a scenario, from a = A on mode 1, R = 0, ended
-    early where ``stop`` holds (:class:`evocontrol.ode.IvpSpec`)."""
+    """The (a, sigma) IVP of a scenario, from a = A on mode 1 and
+    sigma = 1 (R = 0), ended at the first accepted step where ``stop``
+    holds (:class:`evocontrol.ode.IvpSpec`); by default, where sigma
+    has reached the escape level of ``scenario.blowup_threshold``."""
     m = len(scenario.modes)
     y0 = np.zeros(m + 1)
     y0[_datum_column(scenario.modes)] = scenario.A
+    y0[m] = 1.0
+    if stop is None:
+        level = _escape_level(scenario.blowup_threshold, scenario.p)
+
+        def stop(t: float, y: np.ndarray) -> bool:
+            return y[-1] <= level
+
     return ode.IvpSpec(
         rhs=_coupled_rhs(model, linear_factor),
         y0=y0,
@@ -200,31 +254,77 @@ def _coupled_spec(model: galerkin.GalerkinModel, scenario: HeatScenario,
 
 
 def assemble_coupled_system(scenario: HeatScenario) -> ode.IvpSpec:
-    """IVP for the coupled (a, R) system of a scenario."""
+    """IVP for the coupled (a, sigma) system of a scenario, stopped
+    where R escapes past ``scenario.blowup_threshold``."""
     model = galerkin.build_model(scenario.modes, scenario.p)
     return _coupled_spec(model, scenario)
 
 
-def _sample_times(outcome: ode.IvpOutcome) -> np.ndarray:
-    """512 uniform sample times, extended by a geometric tail toward the
-    end of the run when it ended in a blow-up."""
-    t_last = float(outcome.times[-1])
-    base = np.linspace(0.0, t_last, _UNIFORM_SAMPLES)
-    if outcome.kind != ode.BLOW_UP or t_last <= 0.0:
+def _crossing(outcome: ode.IvpOutcome, level: float) -> float:
+    """The first time in the last step of ``outcome`` at which sigma
+    reaches ``level``. The step's dense output of sigma is a polynomial
+    of degree 7, recovered exactly from its values at 8 Chebyshev points
+    by one :meth:`~evocontrol.ode.IvpOutcome.interpolate` call; the
+    crossing is bisected on it to the resolution of the time grid. The
+    step starts above the level and ends at or below it."""
+    t0, t1 = outcome.times[-2:]
+    mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
+    cheb = np.polynomial.chebyshev
+    coef = cheb.chebinterpolate(
+        lambda x: outcome.interpolate(mid + half * x)[:, -1] - level, 7)
+    lo, hi = float(t0), float(t1)
+    while True:
+        t = 0.5 * (lo + hi)
+        if t in (lo, hi):
+            return hi
+        if cheb.chebval((t - mid) / half, coef) > 0.0:
+            lo = t
+        else:
+            hi = t
+
+
+def _run_coupled(model: galerkin.GalerkinModel, scenario: HeatScenario,
+                 linear_factor: float = 1.0) -> tuple[ode.IvpOutcome, float]:
+    """Integrate a scenario's (a, sigma) system. Returns the outcome and
+    the end of the solution: t_g, the crossing of the escape level, for
+    a run that escaped; the end time of a coordinate's threshold escape
+    or min-step collapse (kind ``blow_up``); the horizon otherwise."""
+    outcome = ode.integrate(_coupled_spec(model, scenario, linear_factor))
+    if outcome.kind == ode.DOMAIN_EXIT:
+        raise EvocontrolError(
+            f"coupled system exited its domain at t={outcome.t_end}"
+        )
+    if outcome.kind == ode.STOPPED:
+        level = _escape_level(scenario.blowup_threshold, scenario.p)
+        return outcome, _crossing(outcome, level)
+    return outcome, outcome.t_end
+
+
+def _sample_times(t_end: float, escaped: bool) -> np.ndarray:
+    """512 uniform sample times on [0, t_end], extended by a geometric
+    tail toward the end when the run escaped."""
+    base = np.linspace(0.0, t_end, _UNIFORM_SAMPLES)
+    if not escaped or t_end <= 0.0:
         return base
-    dt = t_last / (_UNIFORM_SAMPLES - 1)
-    tail = t_last - dt * np.geomspace(1.0, 1e-6, _REFINE_SAMPLES)
+    dt = t_end / (_UNIFORM_SAMPLES - 1)
+    tail = t_end - dt * np.geomspace(1.0, 1e-6, _REFINE_SAMPLES)
     times = np.unique(np.concatenate([base, tail]))
     return times
 
 
-def _build_trajectory(outcome: ode.IvpOutcome,
+def _build_trajectory(outcome: ode.IvpOutcome, t_end: float,
                       model: galerkin.GalerkinModel) -> TrajectorySamples:
     m = len(model.basis.indices)
-    times = _sample_times(outcome)
+    times = _sample_times(t_end, outcome.kind != ode.REACHED_HORIZON)
     states = outcome.interpolate(times)
     coords = states[:, :m]
-    radius = states[:, m]
+    sigma = states[:, m]
+    if outcome.kind == ode.STOPPED:
+        # the last sample is the crossing, where sigma is the escape level
+        # by construction; the dense output resolves sigma near 0 only to
+        # about 1e-17, coarser than the level itself at p >= 3
+        sigma[-1] = _escape_level(outcome.spec.blowup_threshold, model.p)
+    radius = tube_radius(sigma, model.p)
     norm_phi = model.basis.norm(coords)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(norm_phi > 0.0, radius / norm_phi, 0.0)
@@ -246,12 +346,9 @@ def run_scenario(scenario: HeatScenario) -> ScenarioResult:
     blow-up upper bound, present only for A past the threshold C_K.
     """
     model = galerkin.build_model(scenario.modes, scenario.p)
-    outcome = ode.integrate(_coupled_spec(model, scenario))
-    if outcome.kind == ode.DOMAIN_EXIT:
-        raise EvocontrolError(
-            f"coupled system exited its domain at t={outcome.t_end}"
-        )
-    t_g = outcome.t_end if outcome.kind == ode.BLOW_UP else math.inf
+    outcome, t_end = _run_coupled(model, scenario)
+    escaped = outcome.kind != ode.REACHED_HORIZON
+    t_g = t_end if escaped else math.inf
     bounds = basic_bounds(scenario.A, scenario.p)
     t_k = None
     eta = None
@@ -265,12 +362,12 @@ def run_scenario(scenario: HeatScenario) -> ScenarioResult:
             eta = (t_k - t_g) / (t_k + t_g)
     return ScenarioResult(
         scenario=scenario,
-        outcome_kind=outcome.kind,
+        outcome_kind=ode.BLOW_UP if escaped else ode.REACHED_HORIZON,
         t_n=bounds.tn,
         t_g=t_g,
         t_k=t_k,
         eta=eta,
-        trajectory=_build_trajectory(outcome, model),
+        trajectory=_build_trajectory(outcome, t_end, model),
     )
 
 
@@ -294,13 +391,14 @@ def critical_amplitude(p: int = 2, modes: Sequence[int] = (1, 3),
     located by bisection over A in [CRITICAL_LO, CRITICAL_HI] to within
     CRITICAL_TOL.
 
-    Each run of the coupled (a, R) system stops at the first accepted
+    Each run of the coupled (a, sigma) system stops at the first accepted
     step T where one of two certificates of that system decides it, with
     U = B = P = 1, M = ||phi|| + R and eps = eps_hat(a) >= 0:
 
-    * escape, when R(T) > 1. ell(R) = (||phi|| + R)^p - ||phi||^p >= R^p
-      and eps >= 0, so R' >= tube_rate(R, 0, 0, p, 1, 1, 1) = R^p - R,
-      which is positive for R > 1, and R escapes in finite time;
+    * escape, when R(T) > 1, that is sigma(T) < 2^(1-p).
+      ell(R) = (||phi|| + R)^p - ||phi||^p >= R^p and eps >= 0, so
+      R' >= tube_rate(R, 0, 0, p, 1, 1, 1) = R^p - R, which is positive
+      for R > 1, and R escapes in finite time;
     * settled, when M(T) < 2^(-1/(2(p-1))), which is 1/sqrt(2) at p = 2.
       The modes are eigenfunctions with eigenvalues -k^2 <= -1, so
       d||phi||/dt <= -||phi|| + ||Pi phi^p||, and
@@ -311,10 +409,11 @@ def critical_amplitude(p: int = 2, modes: Sequence[int] = (1, 3),
       only decreases from there on and the run settles.
 
     The two regions are disjoint (R > 1 against M < 1), so a run escapes
-    exactly when its last state has R > 1. A run that no certificate
-    stops by t = CRITICAL_BACKSTOP raises :class:`EvocontrolError`, and a
-    bracket whose ends do not settle and escape raises
-    :class:`BracketError`."""
+    exactly when its last state has sigma < 2^(1-p). A run that no
+    certificate stops by t = CRITICAL_BACKSTOP raises
+    :class:`EvocontrolError`, and a bracket whose ends do not settle and
+    escape raises :class:`BracketError`."""
+    sigma_at_one = 2.0 ** (1 - p)  # sigma at R = 1
 
     def escapes(A: float) -> bool:
         scenario = HeatScenario(A=A, p=p, modes=modes,
@@ -325,7 +424,9 @@ def critical_amplitude(p: int = 2, modes: Sequence[int] = (1, 3),
         settled = 2.0 ** (-0.5 / (p - 1))
 
         def certified(t: float, y: np.ndarray) -> bool:
-            return y[-1] > 1.0 or norm(y[:-1]) + y[-1] < settled
+            sigma = y[-1]
+            return (sigma < sigma_at_one
+                    or norm(y[:-1]) + tube_radius(sigma, p) < settled)
 
         outcome = ode.integrate(_coupled_spec(model, scenario, stop=certified))
         if outcome.kind != ode.STOPPED:
@@ -333,7 +434,7 @@ def critical_amplitude(p: int = 2, modes: Sequence[int] = (1, 3),
                 f"no certificate decided the run at A={A!r} by "
                 f"t={outcome.t_end!r} ({outcome.kind})"
             )
-        return outcome.final_state[-1] > 1.0
+        return outcome.final_state[-1] < sigma_at_one
 
     lo, hi = CRITICAL_LO, CRITICAL_HI
     if escapes(lo) or not escapes(hi):
@@ -366,12 +467,12 @@ def rescaled_limit(p: int = 2, modes: Sequence[int] = (1, 3)) -> RescaledResult:
     A -> infinity drops them, so it is amplitude-free."""
     scenario = HeatScenario(A=1.0, p=p, modes=modes, horizon=5.0)
     model = galerkin.build_model(scenario.modes, p)
-    outcome = ode.integrate(_coupled_spec(model, scenario, linear_factor=0.0))
-    if outcome.kind != ode.BLOW_UP:
+    outcome, t_end = _run_coupled(model, scenario, linear_factor=0.0)
+    if outcome.kind == ode.REACHED_HORIZON:
         raise EvocontrolError("the rescaled limit system did not escape")
     return RescaledResult(
-        escape_time=outcome.t_end,
-        trajectory=_build_trajectory(outcome, model),
+        escape_time=t_end,
+        trajectory=_build_trajectory(outcome, t_end, model),
     )
 
 

@@ -336,10 +336,11 @@ def verify_heat_scenario(A: float, t1: float, p: int = 2,
                          grid_n: int = 2048) -> VerificationReport:
     """End-to-end verification for a heat scenario on [0, t1].
 
-    Integrates the coupled (a, R) system, samples trajectory, radius and
-    differential error on the uniform grid, embeds everything into the
-    larger mode set of :func:`default_verification_modes`, and runs the
-    iteration checks.
+    Integrates the coupled (a, sigma) system, samples trajectory, radius
+    (through :func:`evocontrol.heat.tube_radius`) and differential
+    error on the uniform grid, embeds everything into the larger mode
+    set of :func:`default_verification_modes`, and runs the iteration
+    checks.
     """
     scenario = heat.HeatScenario(
         A=A, p=p, modes=tuple(modes), horizon=t1,
@@ -357,7 +358,7 @@ def verify_heat_scenario(A: float, t1: float, p: int = 2,
     states = outcome.interpolate(times)
     m = len(scenario.modes)
     coords_small = states[:, :m]
-    radius = states[:, m]
+    radius = heat.tube_radius(states[:, m], p)
     form = galerkin.build_model(scenario.modes, p).eps_form
     eps_values = np.sqrt(form.value_many(coords_small, scenario.modes))
 

@@ -120,7 +120,7 @@ def test_rhs_is_the_derivative_of_the_closed_form():
 
 
 def test_tube_rate_on_arrays_gives_the_bits_of_scalar_calls():
-    # the coupled (a, R) system and the dense output evaluate the rate
+    # the coupled (a, sigma) system and the dense output evaluate the rate
     # on rows of states; each entry must be the scalar call's float
     rng = np.random.default_rng(23)
     R = rng.uniform(0.0, 5.0, 40)

@@ -228,12 +228,13 @@ def test_every_kernel_path_agrees_at_p2():
     model = gk.build_model((1, 3), 2)
     coords = np.random.default_rng(11).uniform(-3.0, 3.0, size=(257, 2))
     rhs = heat._coupled_rhs(model, 1.0)
-    # R = 0: the last component of the (a, R) field is eps_hat itself
-    out = np.array([rhs(0.0, np.append(a, 0.0)) for a in coords])
+    # sigma = 1 (R = 0): the last component of the (a, sigma) field is
+    # (1 - p) eps_hat, -eps_hat at p = 2
+    out = np.array([rhs(0.0, np.append(a, 1.0)) for a in coords])
     field = np.array([gk.vector_field(model, a) for a in coords])
     eps = np.array([gk.epsilon_hat(model, a) for a in coords])
     assert np.array_equal(field, out[:, :2])
-    assert np.array_equal(eps, out[:, 2])
+    assert np.array_equal(eps, -out[:, 2])
     # the array paths run the same kernel on all rows at once, where
     # BLAS may block the sums differently, so they agree to a few ulps
     many = np.sqrt(model.eps_form.value_many(coords, (1, 3)))

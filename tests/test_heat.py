@@ -73,9 +73,11 @@ def test_settled_runs_below_critical_amplitude():
 ])
 def test_certified_stops_are_prefixes_of_the_full_runs(monkeypatch, kw,
                                                        value):
-    # every bisection run ends on a certificate; replayed without the
-    # predicate to t = 50, its history is a bit-identical prefix of the
-    # replay, which escapes exactly when the verdict is "escapes"
+    # every bisection run ends on a certificate; replayed to t = 50 with
+    # the scenario's own stop at the escape level in place of the
+    # certificates, its history is a bit-identical prefix of the replay,
+    # which escapes exactly when the verdict is "escapes" (R > 1, that is
+    # sigma < 2^(1-p))
     runs = []
     integrate = ode.integrate
 
@@ -87,12 +89,14 @@ def test_certified_stops_are_prefixes_of_the_full_runs(monkeypatch, kw,
     assert heat.critical_amplitude(**kw).hex() == value
     monkeypatch.setattr(ode, "integrate", integrate)
     assert len(runs) == 14
+    p = kw.get("p", 2)
+    level = (1.0 + 1e8) ** (1 - p)
     for run in runs:
         assert run.kind == ode.STOPPED
-        escapes = run.final_state[-1] > 1.0
-        full = ode.integrate(
-            dataclasses.replace(run.spec, stop=None, horizon=50.0))
-        assert (full.kind == ode.BLOW_UP) == escapes
+        escapes = run.final_state[-1] < 2.0 ** (1 - p)
+        full = ode.integrate(dataclasses.replace(
+            run.spec, stop=lambda t, y: y[-1] <= level, horizon=50.0))
+        assert (full.kind == ode.STOPPED) == escapes
         n = len(run.times)
         assert len(full.times) > n
         for a, b in ((run.times, full.times), (run.states, full.states),
@@ -120,7 +124,8 @@ def _full_run(A):
     model = galerkin.build_model(scenario.modes, scenario.p)
     outcome = ode.integrate(heat.assemble_coupled_system(scenario))
     states = np.asarray(outcome.states)
-    return outcome, states[:, -1], model.basis.norm(states[:, :-1])
+    return (outcome, heat.tube_radius(states[:, -1], scenario.p),
+            model.basis.norm(states[:, :-1]))
 
 
 @pytest.mark.parametrize("A", [1.0577, 1.1, 1.6, 4.0])
@@ -128,11 +133,13 @@ def test_escape_certificate_bounds_every_escaping_run(A):
     # R' >= R^2 - R, so from any accepted T with R(T) > 1 the run escapes
     # no later than the comparison S' = S^2 - S from S(T) = R(T)
     outcome, radius, _ = _full_run(A)
-    assert outcome.kind == ode.BLOW_UP
+    assert outcome.kind == ode.STOPPED
+    t_g = heat.run_scenario(heat.HeatScenario(A=A)).t_g
+    assert outcome.times[-2] < t_g <= outcome.t_end
     past = radius > 1.0
     assert np.any(past)
     for T, R in zip(outcome.times[past], radius[past]):
-        assert outcome.t_end <= T + kaplan.kaplan_time(R, 2)
+        assert t_g <= T + kaplan.kaplan_time(R, 2)
 
 
 @pytest.mark.parametrize("A", [0.7, 1.046])
@@ -169,12 +176,53 @@ def test_empirical_curve_is_a_lower_bound_on_escape():
         assert r.t_g >= curve
 
 
+def test_bracket_run_escapes_in_few_steps():
+    # sigma = (1 + R)^(1-p) crosses its escape level with slope near
+    # -(p-1), on long steps: the A = 2 run takes 16
+    outcome = ode.integrate(
+        heat.assemble_coupled_system(heat.HeatScenario(A=2.0)))
+    assert outcome.stats.termination == ode.STOPPED
+    assert outcome.stats.accepted <= 30
+
+
+def test_escape_time_error_budget():
+    # the located crossing agrees with the same sigma run at tight
+    # tolerances (measured: at most 2.2e-11 relative)
+    for A in (1.60, 2.0, 4.0, 10.0, 20.0):
+        t_g = heat.run_scenario(heat.HeatScenario(A=A)).t_g
+        tight = heat.run_scenario(
+            heat.HeatScenario(A=A, rtol=1e-13, atol=1e-15)).t_g
+        assert abs(t_g - tight) <= 1e-9 * tight, A
+
+
+@pytest.mark.parametrize("p", [3, 4])
+@pytest.mark.parametrize("A", [4.0, 10.0])
+def test_high_power_runs_end_on_the_crossing(p, A):
+    # past sigma = 0 the row stays finite (the odd root of sigma), so the
+    # run stops on the crossing rather than on a domain exit or a
+    # min-step collapse, and the trajectory ends at R = threshold
+    scenario = heat.HeatScenario(A=A, p=p)
+    outcome = ode.integrate(heat.assemble_coupled_system(scenario))
+    assert outcome.stats.termination == ode.STOPPED
+    assert outcome.stats.accepted <= 40
+    result = heat.run_scenario(scenario)
+    assert result.outcome_kind == ode.BLOW_UP
+    assert outcome.times[-2] < result.t_g <= outcome.t_end
+    assert result.t_n <= result.t_g <= result.t_k
+    radius = result.trajectory.radius
+    assert abs(radius[-1] - 1e8) <= 1e-12 * 1e8
+    assert np.all(np.diff(radius[-40:]) > 0.0)
+
+
 def test_coupled_rhs_is_the_control_equation():
-    # the R-component of the (a, R) right-hand side is
-    # U (eps + (||phi|| + R)^p - ||phi||^p) - B R with the module's U and
-    # B (B scaled like the linear terms) and eps = eps_hat(a), here
-    # evaluated exactly in rationals from the same eps and ||phi||; the
-    # bound is relative to the sum of the magnitudes of its terms
+    # the sigma component of the (a, sigma) right-hand side is
+    # (1 - p) q^p (U (eps + (||phi|| + R)^p - ||phi||^p) - B R), with
+    # q = 1/(1 + R) the odd real root of sigma = q^(p-1), the module's U
+    # and B (B scaled like the linear terms) and eps = eps_hat(a), here
+    # evaluated exactly in rationals from the same eps and ||phi||. Each
+    # sigma is sign(q) |q|^(p-1) for q = +-j/64, exact in floats, so R
+    # runs over [0, 63] and, past sigma = 0, below -1. The bound is
+    # relative to the sum of the magnitudes of the terms
     rng = np.random.default_rng(17)
     for modes, p in (((1, 3), 2), ((1, 3, 5), 3)):
         model = galerkin.build_model(modes, p)
@@ -182,16 +230,21 @@ def test_coupled_rhs_is_the_control_equation():
             rhs = heat._coupled_rhs(model, linear_factor)
             U = Fraction(heat.U)
             B = Fraction(linear_factor * heat.B)
-            for _ in range(25):
-                a = rng.uniform(-2.0, 2.0, len(modes))
-                R = rng.uniform(0.0, 3.0)
-                norm = Fraction(model.basis.norm(a))
-                eps = Fraction(galerkin.epsilon_hat(model, a))
-                ell = (norm + Fraction(R)) ** p - norm**p
-                expected = U * (eps + ell) - B * Fraction(R)
-                got = rhs(0.0, np.append(a, R))[len(modes)]
-                scale = U * (eps + ell) + B * Fraction(R)
-                assert abs(Fraction(got) - expected) <= 1e-14 * scale
+            for sign in (1, -1):
+                for _ in range(25):
+                    a = rng.uniform(-2.0, 2.0, len(modes))
+                    q = Fraction(sign * int(rng.integers(1, 65)), 64)
+                    sigma = sign * abs(q) ** (p - 1)
+                    R = 1 / q - 1
+                    norm = Fraction(model.basis.norm(a))
+                    eps = Fraction(galerkin.epsilon_hat(model, a))
+                    ell = (norm + R) ** p - norm**p
+                    expected = (1 - p) * q**p * (U * (eps + ell) - B * R)
+                    got = rhs(0.0, np.append(a, float(sigma)))[len(modes)]
+                    ell_abs = (norm + abs(R)) ** p - norm**p
+                    scale = (p - 1) * abs(q) ** p * (U * (eps + ell_abs)
+                                                     + B * abs(R))
+                    assert abs(Fraction(got) - expected) <= 1e-14 * scale
 
 
 def test_scenario_record_round_trip(tmp_path):
@@ -230,6 +283,9 @@ def test_scenario_validation():
         heat.HeatScenario(A=1.0, modes=(2, 3))
     with pytest.raises(ValueError):
         heat.HeatScenario(A=1.0, p=1)
+    # sigma(0) = 1 is part of the state the threshold bounds
+    with pytest.raises(ValueError):
+        heat.HeatScenario(A=0.5, blowup_threshold=0.9)
 
 
 def test_record_with_an_invalid_ivp_is_rejected_when_read():
@@ -240,7 +296,8 @@ def test_record_with_an_invalid_ivp_is_rejected_when_read():
     assert heat.scenario_from_record(record).horizon == 2.0
     for key, value in (("horizon", math.inf), ("horizon", math.nan),
                        ("rtol", 5.0), ("rtol", 0.0), ("atol", 1.0),
-                       ("atol", -1e-12)):
+                       ("atol", -1e-12), ("blowup_threshold", 4.0),
+                       ("blowup_threshold", math.nan)):
         with pytest.raises(ValueError):
             heat.scenario_from_record({**record, key: value})
 

@@ -20,13 +20,17 @@ RUNS = {
     "table": ["table"],
     # the table at p = 3, where the growth ell sums three terms
     "table_p3": ["table", "--p", "3"],
-    # the only coupled (a, R) run at p = 4, where ell sums four terms
+    # the only coupled (a, sigma) run at p = 4, where ell sums four terms
     "table_p4": ["table", "--p", "4", "--A", "4", "--A", "10"],
     "scenario": ["scenario", "--A", "4"],
-    # a threshold the controller reaches on long steps, so the escaping
-    # step is found by shortening the step that crossed it
+    # a low threshold: sigma crosses its level (1 + 1000)^(-1) far from
+    # 0, inside one of the run's long steps
     "scenario_threshold": ["scenario", "--A", "4", "--blowup-threshold",
                            "1000"],
+    # p = 3: the escape crossing of sigma = (1 + R)^(-2), located where
+    # sigma, past 0, is continued by its odd real root
+    "scenario_p3_threshold": ["scenario", "--p", "3", "--A", "4",
+                              "--blowup-threshold", "1000"],
     # twelve modes: where the node kernel and a Gram form over degree-p
     # monomials differ the most
     "scenario_many": ["scenario", "--A", "10", "--modes",
