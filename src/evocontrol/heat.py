@@ -260,29 +260,6 @@ def assemble_coupled_system(scenario: HeatScenario) -> ode.IvpSpec:
     return _coupled_spec(model, scenario)
 
 
-def _crossing(outcome: ode.IvpOutcome, level: float) -> float:
-    """The first time in the last step of ``outcome`` at which sigma
-    reaches ``level``. The step's dense output of sigma is a polynomial
-    of degree 7, recovered exactly from its values at 8 Chebyshev points
-    by one :meth:`~evocontrol.ode.IvpOutcome.interpolate` call; the
-    crossing is bisected on it to the resolution of the time grid. The
-    step starts above the level and ends at or below it."""
-    t0, t1 = outcome.times[-2:]
-    mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-    cheb = np.polynomial.chebyshev
-    coef = cheb.chebinterpolate(
-        lambda x: outcome.interpolate(mid + half * x)[:, -1] - level, 7)
-    lo, hi = float(t0), float(t1)
-    while True:
-        t = 0.5 * (lo + hi)
-        if t in (lo, hi):
-            return hi
-        if cheb.chebval((t - mid) / half, coef) > 0.0:
-            lo = t
-        else:
-            hi = t
-
-
 def _run_coupled(model: galerkin.GalerkinModel, scenario: HeatScenario,
                  linear_factor: float = 1.0) -> tuple[ode.IvpOutcome, float]:
     """Integrate a scenario's (a, sigma) system. Returns the outcome and
@@ -296,7 +273,7 @@ def _run_coupled(model: galerkin.GalerkinModel, scenario: HeatScenario,
         )
     if outcome.kind == ode.STOPPED:
         level = _escape_level(scenario.blowup_threshold, scenario.p)
-        return outcome, _crossing(outcome, level)
+        return outcome, outcome.crossing(level)
     return outcome, outcome.t_end
 
 

@@ -19,13 +19,19 @@ closed form, an independent quadrature evaluation of the underlying
 improper integral, the comparison ODE, and the iteration scheme whose
 monotone limit is the comparison solution.
 
-The comparison ODE runs at the integrator's default tolerances (rtol
-1e-10, atol 1e-12). Its escape time is set by where the run stops, not
-by the tolerance: at p = 2 on the 1e8 threshold, which leaves out about
-1e-8 of time, at p >= 3 on a min-step collapse, which leaves out under
-1e-9. Both stop before the true blow-up, so the ODE time sits below
-t_k by that absolute budget. Where t_k is small the budget is large in
-relative terms: 2.2e-4 of t_k = 2.7e-6 at Q0 = 50, p = 4.
+The comparison ODE is integrated in sigma = S^(1-p), the change of
+variable that turns a blow-up into a zero crossing (Stuart & Floater,
+On the computation of blow-up, Eur. J. Appl. Math. 1, 1990). In sigma
+the problem is linear,
+
+    dsigma/dt = (p-1) (sigma - 1),    sigma(0) = Q0^(1-p),
+
+and S escapes exactly where sigma crosses 0. The run stops on the first
+accepted step with sigma <= 0, a handful of steps from the start, and
+the escape time is the crossing located on that step's dense output.
+At the integrator's default tolerances (rtol 1e-10, atol 1e-12) it
+agrees with t_k to 3.5e-11 relative, on either side, over
+Q0 in {1.1, 1.2535, 2, 5, 50} and p in {2, 3, 4}.
 """
 
 from __future__ import annotations
@@ -88,29 +94,41 @@ def kaplan_time_by_quadrature(q0: float, p: int) -> float:
 
 
 def _comparison_spec(q0: float, p: int, horizon: float) -> ode.IvpSpec:
-    """dS/dt = S^p - S from S(0) = q0 as a one-dimensional IVP; the
-    right-hand side is elementwise, so it takes (1,) or (1, S) states."""
+    """dsigma/dt = (p-1) (sigma - 1) from sigma(0) = q0^(1-p), the
+    comparison problem dS/dt = S^p - S in sigma = S^(1-p), stopped at
+    the first accepted step where sigma <= 0 (S has escaped); the
+    right-hand side is elementwise, so it takes (1,) or (1, S) states.
+    sigma itself cannot blow up, so the spec has no escape threshold:
+    below the fixed point it grows like e^((p-1) t) while S decays."""
     def rhs(s, y: np.ndarray) -> np.ndarray:
-        return np.array([y[0] ** p - y[0]])
+        return (p - 1) * (y - 1.0)
+
+    def escaped(t: float, y: np.ndarray) -> bool:
+        return y[0] <= 0.0
 
     return ode.IvpSpec(
         rhs=rhs,
-        y0=np.array([q0]),
+        y0=np.array([q0 ** (1 - p)]),
         t0=0.0,
         horizon=horizon,
+        blowup_threshold=math.inf,
+        stop=escaped,
     )
 
 
 def comparison_solution(q0: float, p: int, t: float) -> float:
-    """Comparison ODE solution S(t) by adaptive integration at the
-    integrator's default tolerances (rtol 1e-10, atol 1e-12); the run
-    ends at t, with S(t) a few 1e-11 relative from the closed form
-    (3.1e-11 at q0 = 2, p = 2, t = 0.5).
+    """Comparison ODE solution S(t) = sigma(t)^(1/(1-p)), with sigma
+    integrated by :func:`_comparison_spec` at the integrator's default
+    tolerances (rtol 1e-10, atol 1e-12); the run ends at t.
 
-    Raises :class:`OutOfDomainError` when t is past the escape time of
-    the comparison problem.
+    Needs q0 > 0, where sigma = q0^(1-p) is defined; the Q-value of a
+    nonnegative, nonzero datum always is. Raises :class:`ValueError`
+    otherwise, and :class:`OutOfDomainError` when t is at or past the
+    escape time of the comparison problem.
     """
     check_power(p)
+    if not q0 > 0.0:
+        raise ValueError(f"the comparison problem needs Q0 > 0, got {q0}")
     if t < 0.0:
         raise OutOfDomainError("comparison solution queried at negative time")
     if t == 0.0:
@@ -120,18 +138,19 @@ def comparison_solution(q0: float, p: int, t: float) -> float:
         raise OutOfDomainError(
             f"comparison solution escapes at t={outcome.t_end} <= {t}"
         )
-    return float(outcome.final_state[0])
+    return float(outcome.final_state[0] ** (1.0 / (1 - p)))
 
 
 def comparison_blowup_time(q0: float, p: int) -> float:
     """Escape time of the comparison ODE by direct integration (the
     dual route to :func:`kaplan_time`).
 
-    The run uses the integrator's default tolerances and escape
-    threshold 1e8 over a window of length 100. At p = 2 it stops when S
-    passes 1e8, about 1e-8 before t_k; at p >= 3 on a min-step collapse
-    near S = 2.7e4 (p = 3) or 8e2 (p = 4), under 1e-9 before t_k. The
-    result lies below t_k by that absolute budget.
+    The run integrates sigma = S^(1-p) at the integrator's default
+    tolerances over a window of length 100 and stops on the first
+    accepted step with sigma <= 0, in at most 8 steps over the cases of
+    acceptance criterion 05. The escape is the time at which that
+    step's dense output of sigma crosses 0; it agrees with t_k to
+    3.5e-11 relative, and may lie on either side of it.
     """
     check_power(p)
     if not q0 > 1.0:
@@ -139,9 +158,9 @@ def comparison_blowup_time(q0: float, p: int) -> float:
             f"the comparison problem escapes only for Q0 > 1, got {q0}"
         )
     outcome = ode.integrate(_comparison_spec(q0, p, _HORIZON))
-    if outcome.kind != ode.BLOW_UP:
+    if outcome.kind != ode.STOPPED:
         raise OutOfDomainError("comparison problem did not escape before the horizon")
-    return outcome.t_end
+    return outcome.crossing(0.0)
 
 
 def sn_iteration(q0: float, p: int, n: int, t: float) -> float:

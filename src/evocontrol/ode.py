@@ -295,7 +295,8 @@ class IvpOutcome:
     ``dense_output`` and the last of each without. A threshold escape
     ends on its escaping step, so the last state is the only one past
     the threshold. The outcome doubles as a dense-output object via
-    :meth:`interpolate`; ``stats`` holds the run's counters. Outcomes
+    :meth:`interpolate`, and :meth:`crossing` locates where the last
+    component reaches a level; ``stats`` holds the run's counters. Outcomes
     compare by identity: their fields hold arrays.
     """
 
@@ -358,6 +359,29 @@ class IvpOutcome:
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return out[0]
         return out
+
+    def crossing(self, level: float) -> float:
+        """The first time in the last step at which the last component
+        of the state reaches ``level``. The step's dense output of that
+        component is a polynomial of degree 7, recovered exactly from
+        its values at 8 Chebyshev points by one :meth:`interpolate`
+        call; the crossing is bisected on it to the resolution of the
+        time grid. The step starts above the level and ends at or below
+        it, as in a run stopped on the first step that reaches it."""
+        t0, t1 = self.times[-2:]
+        mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
+        cheb = np.polynomial.chebyshev
+        coef = cheb.chebinterpolate(
+            lambda x: self.interpolate(mid + half * x)[:, -1] - level, 7)
+        lo, hi = float(t0), float(t1)
+        while True:
+            t = 0.5 * (lo + hi)
+            if t in (lo, hi):
+                return hi
+            if cheb.chebval((t - mid) / half, coef) > 0.0:
+                lo = t
+            else:
+                hi = t
 
 
 def _error_norm(stages, h: float, abs_old: np.ndarray, abs_new: np.ndarray,

@@ -135,7 +135,7 @@ def test_criterion_05_kaplan_cross_check():
             worst_ode = max(
                 worst_ode, abs(closed - kaplan.comparison_blowup_time(q0, p))
             )
-    ok = worst_quad <= 1e-8 and worst_ode <= 1e-4
+    ok = worst_quad <= 1e-8 and worst_ode <= 1e-9
     _criterion(
         5,
         f"blow-up upper bound: quadrature gap {worst_quad:.2e}, "

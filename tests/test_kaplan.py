@@ -81,11 +81,19 @@ def test_comparison_solution_matches_closed_form():
         assert abs(kaplan.comparison_solution(q0, p, t) - exact) <= 1e-9 * exact
 
 
+def test_comparison_solution_needs_a_positive_datum():
+    # sigma(0) = q0^(1-p) is undefined at q0 = 0 and negative q0 has no
+    # comparison problem
+    for q0 in (0.0, -0.5):
+        with pytest.raises(ValueError):
+            kaplan.comparison_solution(q0, 2, 0.1)
+
+
 def test_comparison_blowup_matches_closed_form():
     q0 = 2.0 / heat.C_K
     closed = kaplan.kaplan_time(q0, 2)
     by_ode = kaplan.comparison_blowup_time(q0, 2)
-    assert abs(closed - by_ode) <= 1e-4
+    assert abs(closed - by_ode) <= 1e-9
 
 
 def test_iteration_converges_from_below():

@@ -304,11 +304,12 @@ def test_dense_output_makes_14_calls_per_chunk(monkeypatch, steps_per_chunk):
 
 def test_blowup_tail_rejects_few_attempts():
     # Gustafsson's factor keeps the controller from alternating accepted
-    # and rejected steps along a blow-up tail: the comparison ODE
-    # S' = S^2 - S, integrated in S up to the threshold, rejects none of
-    # its 144-165 steps, and without the factor about one per step
+    # and rejected steps along a blow-up tail: the pure-power problem
+    # R' = R^2 - R (Kaplan's comparison problem at p = 2), integrated in
+    # R up to the threshold, rejects none of its 144-165 steps, and
+    # without the factor about one per step
     for q0 in (1.1, 2.0, 5.0):
-        outcome = ode.integrate(kaplan._comparison_spec(q0, 2, 100.0))
+        outcome = ode.integrate(control.pure_power_ivp(1, 1, 1, 2, q0, 100))
         assert outcome.stats.termination == ode.THRESHOLD_ESCAPE
         assert outcome.stats.rejected <= 0.1 * outcome.stats.accepted
 
@@ -319,7 +320,8 @@ def test_blowup_runs_emit_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert fd.fd_single_run(fd.FdConfig(A=100.0, N=512)).blew_up
-        assert kaplan.comparison_blowup_time(10.0, 4) > 0.0
+        outcome = ode.integrate(control.pure_power_ivp(1, 1, 1, 4, 10.0, 100))
+        assert outcome.kind == ode.BLOW_UP
 
 
 def test_domain_exit_on_nonfinite_rhs():
@@ -677,28 +679,26 @@ def test_pinned_bits_coupled_scenario(monkeypatch):
 def test_pinned_bits_kaplan_comparison(monkeypatch):
     t_esc, outcomes, digest = _run_digest(
         monkeypatch, lambda: kaplan.comparison_blowup_time(2.0, 3))
-    assert t_esc.hex() == "0x1.269620fbdc060p-3"
-    assert len(outcomes[0].times) == 130
+    assert t_esc.hex() == "0x1.269621134c8edp-3"
+    assert len(outcomes[0].times) == 4
     assert digest == (
-        "5556c1b584ca2c73487c60e784b745fa19ba8eb0f7cf5ac21aefa33158e99dec")
+        "38ea0f8648975b35b5646548f6775700899ea61a3b9798957aabcb5a920e1404")
 
 
 def test_comparison_escape_error_budget(monkeypatch):
-    # every escape step comes before the true blow-up, so the ODE time
-    # is below the closed form: at p = 2 the run stops on the 1e8
-    # threshold (about 1e-8 of time left), at p >= 3 on a min-step
-    # collapse (under 1e-9 left)
+    # in sigma = S^(1-p) the comparison problem is linear, so each run
+    # stops on the crossing of sigma = 0 within a few steps, and the
+    # crossing located on that step's dense output is the escape time
     pairs = [(q0, p) for q0 in (1.1, 1.2535, 2.0, 5.0, 50.0)
              for p in (2, 3, 4)]
-    gaps, outcomes, _ = _run_digest(monkeypatch, lambda: [
-        kaplan.kaplan_time(q0, p) - kaplan.comparison_blowup_time(q0, p)
-        for q0, p in pairs])
+    times, outcomes, _ = _run_digest(monkeypatch, lambda: [
+        kaplan.comparison_blowup_time(q0, p) for q0, p in pairs])
     assert len(outcomes) == len(pairs)
-    for (q0, p), gap, outcome in zip(pairs, gaps, outcomes):
-        budget = 2e-8 if p == 2 else 1e-9
-        assert 0.0 < gap <= budget, (q0, p, gap)
-        assert outcome.stats.termination == (
-            ode.THRESHOLD_ESCAPE if p == 2 else ode.MIN_STEP_COLLAPSE)
+    for (q0, p), t_ode, outcome in zip(pairs, times, outcomes):
+        t_k = kaplan.kaplan_time(q0, p)
+        assert outcome.kind == ode.STOPPED, (q0, p)
+        assert outcome.stats.accepted <= 10, (q0, p)
+        assert abs(t_k - t_ode) <= 1e-10 * t_k, (q0, p, t_ode - t_k)
 
 
 def test_pinned_bits_fd_run(monkeypatch):

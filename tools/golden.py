@@ -42,8 +42,8 @@ RUNS = {
     "kaplan": ["kaplan", "--A", "4", "--A", "10"],
     # the Kaplan quadrature and comparison ODE at p != 2
     "kaplan_p3": ["kaplan", "--p", "3", "--A", "4", "--A", "10"],
-    # p = 4: the comparison runs collapse near S = 8e2, where their error
-    # is the largest share of t_K
+    # p = 4: the comparison runs cross sigma = S^(-3) = 0 within 1-2
+    # steps, where t_K is the smallest
     "kaplan_p4": ["kaplan", "--p", "4", "--A", "4", "--A", "10"],
     "fd": ["fd", "--A", "100", "--profile-time", "0.5"],
     # a norms CSV from a long fine run (1,123 steps on 512 points)
