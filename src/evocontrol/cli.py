@@ -275,24 +275,21 @@ def cmd_fd(args) -> int:
         "label": "reference estimates",
         "entries": [e.to_dict() for e in estimates],
     }
+    if args.profile_time is not None:
+        record["profile_deviation"] = fd.limit_profile_check(
+            amplitudes[0], args.profile_time, N=args.N,
+            rtol=args.rtol, atol=args.atol,
+        )
     path = _outpath(args, "fd.json")
     write_json(record, path)
     fd.write_norms_csv(_outpath(args, "fd_norms.csv"), estimates[0].fine)
     written = [path, "fd_norms.csv"]
     if args.profile_time is not None:
-        config = fd.FdConfig(A=amplitudes[0], p=args.p, N=args.N)
-        grid = config.grid
-        profile = fd.limit_profile(args.profile_time, grid)
-        deviation = fd.limit_profile_check(
-            amplitudes[0], args.profile_time, N=args.N,
-            rtol=args.rtol, atol=args.atol,
-        )
+        grid = fd.FdConfig(A=amplitudes[0], p=args.p, N=args.N).grid
         write_csv(
             _outpath(args, "fig_profile.csv"), ["x", "closed_form"],
-            [grid, profile],
+            [grid, fd.limit_profile(args.profile_time, grid)],
         )
-        record["profile_deviation"] = deviation
-        write_json(record, path)
         written.append("fig_profile.csv")
     summary = ", ".join(
         f"A={e.coarse.config.A}: {fmt_float(e.value)}" for e in estimates

@@ -264,8 +264,10 @@ def _run_coupled(model: galerkin.GalerkinModel, scenario: HeatScenario,
                  linear_factor: float = 1.0) -> tuple[ode.IvpOutcome, float]:
     """Integrate a scenario's (a, sigma) system. Returns the outcome and
     the end of the solution: t_g, the crossing of the escape level, for
-    a run that escaped; the end time of a coordinate's threshold escape
-    or min-step collapse (kind ``blow_up``); the horizon otherwise."""
+    a run that escaped; for a coordinate's threshold escape, the time
+    its max-norm reaches the threshold, located on the escaping step's
+    dense output; the end time of a min-step collapse; the horizon
+    otherwise."""
     outcome = ode.integrate(_coupled_spec(model, scenario, linear_factor))
     if outcome.kind == ode.DOMAIN_EXIT:
         raise EvocontrolError(

@@ -124,7 +124,9 @@ def comparison_solution(q0: float, p: int, t: float) -> float:
     Needs q0 > 0, where sigma = q0^(1-p) is defined; the Q-value of a
     nonnegative, nonzero datum always is. Raises :class:`ValueError`
     otherwise, and :class:`OutOfDomainError` when t is at or past the
-    escape time of the comparison problem.
+    escape time of the comparison problem, or when the run ends early
+    in any other way: below the fixed point sigma grows like
+    e^((p-1) t) and overflows near t = 709/(p-1), a domain exit.
     """
     check_power(p)
     if not q0 > 0.0:
@@ -134,9 +136,13 @@ def comparison_solution(q0: float, p: int, t: float) -> float:
     if t == 0.0:
         return q0
     outcome = ode.integrate(_comparison_spec(q0, p, t))
-    if outcome.kind != ode.REACHED_HORIZON:
+    if outcome.kind == ode.STOPPED:
         raise OutOfDomainError(
             f"comparison solution escapes at t={outcome.t_end} <= {t}"
+        )
+    if outcome.kind != ode.REACHED_HORIZON:
+        raise OutOfDomainError(
+            f"comparison run ended {outcome.kind} at t={outcome.t_end} < {t}"
         )
     return float(outcome.final_state[0] ** (1.0 / (1 - p)))
 

@@ -9,9 +9,9 @@ Every run is classified into one of four outcomes:
 
 * ``reached_horizon`` : the trajectory exists on the whole time window;
 * ``blow_up``         : the max-norm of the state escaped past a threshold
-  (the escaping step is at most 5e-7 long, so the escape time is
-  bracketed to 1e-6), or the controller was forced below the minimum
-  step while the state was growing;
+  (the run ends on the escaping step, and the escape time is located on
+  that step's dense output), or the controller was forced below the
+  minimum step while the state was growing;
 * ``domain_exit``     : the right-hand side stopped returning finite
   values while the state was still moderate;
 * ``stopped``         : the spec's ``stop`` predicate held at an accepted
@@ -199,7 +199,6 @@ _FACTOR_MIN = 0.2
 _FACTOR_MAX = 5.0
 _ORDER_EXP = 0.125  # 1 / (order of the advancing solution)
 _MAX_STEPS = 20_000_000
-_BRACKET_WIDTH = 5e-7  # longest escaping step, kept below the 1e-6 contract
 _DENSE_BYTES = 1 << 17  # size of the stage buffer of a dense-output chunk
 
 
@@ -266,10 +265,9 @@ class IvpStats:
     ``accepted`` is the number of intervals of the stored grid, the
     escaping step of a threshold escape included. ``rejected`` counts
     attempts whose error norm exceeded 1, ``nonfinite_retries`` attempts
-    dropped for a non-finite stage or error norm; an attempt that crossed
-    the threshold on a step too long to bracket the escape is retried on
-    a shorter step and counted in neither. ``rhs_calls`` includes the
-    initial evaluation and the first-step guess. ``h_min``/``h_max`` are
+    dropped for a non-finite stage or error norm. ``rhs_calls`` includes
+    the initial evaluation, the first-step guess and the 14 dense-output
+    calls that locate a threshold escape. ``h_min``/``h_max`` are
     the extreme spacings of the grid (nan when no step was accepted).
     ``termination`` is one of ``horizon``, ``threshold_escape``,
     ``min_step_collapse`` (both kind ``blow_up``), ``nonfinite`` (kind
@@ -294,10 +292,11 @@ class IvpOutcome:
     are the state and derivative rows, one per grid time with
     ``dense_output`` and the last of each without. A threshold escape
     ends on its escaping step, so the last state is the only one past
-    the threshold. The outcome doubles as a dense-output object via
-    :meth:`interpolate`, and :meth:`crossing` locates where the last
-    component reaches a level; ``stats`` holds the run's counters. Outcomes
-    compare by identity: their fields hold arrays.
+    the threshold, and ``t_end`` is the escape located inside that step.
+    The outcome doubles as a dense-output object via :meth:`interpolate`,
+    and :meth:`crossing` locates where the last component reaches a
+    level; ``stats`` holds the run's counters. Outcomes compare by
+    identity: their fields hold arrays.
     """
 
     kind: str
@@ -361,27 +360,30 @@ class IvpOutcome:
         return out
 
     def crossing(self, level: float) -> float:
-        """The first time in the last step at which the last component
-        of the state reaches ``level``. The step's dense output of that
-        component is a polynomial of degree 7, recovered exactly from
-        its values at 8 Chebyshev points by one :meth:`interpolate`
-        call; the crossing is bisected on it to the resolution of the
-        time grid. The step starts above the level and ends at or below
-        it, as in a run stopped on the first step that reaches it."""
-        t0, t1 = self.times[-2:]
-        mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-        cheb = np.polynomial.chebyshev
-        coef = cheb.chebinterpolate(
-            lambda x: self.interpolate(mid + half * x)[:, -1] - level, 7)
-        lo, hi = float(t0), float(t1)
-        while True:
-            t = 0.5 * (lo + hi)
-            if t in (lo, hi):
-                return hi
-            if cheb.chebval((t - mid) / half, coef) > 0.0:
-                lo = t
-            else:
-                hi = t
+        """The first time in the last step, which starts above ``level``
+        and ends at or below it, at which the last component of the
+        state reaches it, located by :func:`_crossing`."""
+        return _crossing(lambda tq: self.interpolate(tq)[:, -1] - level,
+                         *self.times[-2:])
+
+
+def _crossing(excess: Callable[[np.ndarray], np.ndarray], t0: float,
+              t1: float) -> float:
+    """The first time in [t0, t1] at which ``excess``, positive at t0 and
+    at most 0 at t1, reaches 0. ``excess`` maps an array of times to an
+    array of values; it is interpolated at 8 Chebyshev points by a
+    polynomial of degree 7, exact for the dense output of one component,
+    and the zero is bisected on it to the resolution of the time grid."""
+    mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
+    cheb = np.polynomial.chebyshev
+    coef = cheb.chebinterpolate(lambda x: excess(mid + half * x), 7)
+    lo, hi = float(t0), float(t1)
+    while (t := 0.5 * (lo + hi)) not in (lo, hi):
+        if cheb.chebval((t - mid) / half, coef) > 0.0:
+            lo = t
+        else:
+            hi = t
+    return hi
 
 
 def _error_norm(stages, h: float, abs_old: np.ndarray, abs_new: np.ndarray,
@@ -507,6 +509,24 @@ def _dense_output(rhs: Rhs, times: np.ndarray, states, derivs,
     return (out + y0[:, step]).T
 
 
+def _escape_time(rhs: Rhs, threshold: float, start, end) -> float:
+    """The time at which max |y| reaches ``threshold`` on the step from
+    ``start`` to ``end``, each a (t, y, f) row, located by
+    :func:`_crossing` on the step's dense output (14 RHS calls). The
+    interpolant of max |y| is exact when one entry holds the max through
+    the step, as in a scalar run and at the peak of a finite-difference
+    profile."""
+    times, states, derivs = zip(start, end)
+
+    def excess(tq: np.ndarray) -> np.ndarray:
+        rows = _dense_output(rhs, np.array(times), states, derivs,
+                             np.zeros(1, np.intp), tq,
+                             np.zeros(tq.size, np.intp))
+        return threshold - np.abs(rows).max(axis=1)
+
+    return _crossing(excess, *times)
+
+
 def integrate(spec: IvpSpec) -> IvpOutcome:
     """Integrate an initial value problem and classify the outcome.
 
@@ -518,13 +538,9 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
     The threshold and ``stop`` are tested only at the ends of accepted
     steps, so a max-norm that crosses the threshold and falls back within
     one step is not seen. An accepted step that carries the max-norm past
-    ``blowup_threshold`` ends the run as a threshold escape when it is at
-    most ``_BRACKET_WIDTH`` long, or when half of it would fall below
-    ``min_step``. A longer one is retried on the step to the chord
-    estimate of the crossing, at most half of it and at least ``min_step``
-    and half of ``_BRACKET_WIDTH``; after that, no step reaches past half
-    of the rest of the crossing attempt until the escape is stored or the
-    run passes the attempt's end without crossing.
+    ``blowup_threshold`` is stored and ends the run as a threshold
+    escape; ``t_end`` is the time max |y| reaches the threshold on that
+    step's dense output (:func:`_escape_time`).
     A trial stage may overflow inside the RHS near a blow-up; the attempt
     is retried on a shorter step, so the run silences numpy's overflow
     and invalid-value warnings. Raises :class:`StepBudgetError` after
@@ -557,10 +573,6 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
     saw_nonfinite = False
     # the last accepted step and its error norm, for Gustafsson's factor
     h_prev = err_prev = 0.0
-    # the end of the last attempt that crossed the threshold on a step
-    # too long to bracket the escape, and the shortest step toward it
-    t_over = math.inf
-    h_floor = max(0.5 * _BRACKET_WIDTH, min_step)
 
     def _finish(kind: str, t_end: float, termination: str) -> IvpOutcome:
         grid = np.asarray(times)
@@ -616,16 +628,7 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
 
             if err <= 1.0:
                 m_new = abs_new.max()
-                escaped = m_new > threshold
-                if escaped and h > _BRACKET_WIDTH and 0.5 * h >= min_step:
-                    # retry on the chord estimate of the crossing, the
-                    # max-norm interpolated linearly over the step, kept
-                    # within [h_floor, h / 2]
-                    t_over = t + h
-                    m_old = abs_y.max()
-                    theta = (threshold - m_old) / (m_new - m_old)
-                    h = max(min(theta, 0.5) * h, h_floor)
-                    continue
+                start = t, y, f
                 # y_new is a fresh array; f_new may be a buffer the RHS
                 # reuses, so keep a private copy as the next step's FSAL
                 # stage
@@ -637,8 +640,10 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
                 if keep:
                     states.append(y)
                     derivs.append(f)
-                if escaped:
-                    return _finish(BLOW_UP, t, THRESHOLD_ESCAPE)
+                if m_new > threshold:
+                    nfev += len(_DENSE_STAGES)
+                    t_esc = _escape_time(rhs, threshold, start, (t, y, f))
+                    return _finish(BLOW_UP, t_esc, THRESHOLD_ESCAPE)
                 if stop is not None and stop(t, y):
                     return _finish(STOPPED, t, STOPPED)
                 saw_nonfinite = False
@@ -653,12 +658,6 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
                     factor = _FACTOR_MAX
                 h_prev, err_prev = h, err
                 h *= min(_FACTOR_MAX, max(_FACTOR_MIN, factor))
-                # until the escape, no step reaches past half of the rest
-                # of the last crossing attempt; a run that passed its end
-                # without crossing drops the cap
-                if t >= t_over:
-                    t_over = math.inf
-                h = min(h, max(0.5 * (t_over - t), h_floor))
             else:
                 rejected += 1
                 factor = _SAFETY * err ** -_ORDER_EXP

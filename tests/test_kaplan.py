@@ -81,6 +81,21 @@ def test_comparison_solution_matches_closed_form():
         assert abs(kaplan.comparison_solution(q0, p, t) - exact) <= 1e-9 * exact
 
 
+def test_comparison_solution_far_below_the_fixed_point():
+    # q0 = 1/2, p = 2: S = 1/(1 + e^t). sigma = 1/S grows like e^t; the
+    # global error of the default tolerances grows like 9e-12 t, so
+    # 6.5e-9 relative at t = 700
+    exact = 1.0 / (1.0 + math.exp(700.0))
+    assert abs(kaplan.comparison_solution(0.5, 2, 700.0) - exact) <= (
+        1e-8 * exact)
+    # past t = 706 sigma overflows: the run is a domain exit, not an
+    # escape of S
+    with pytest.raises(OutOfDomainError, match="domain_exit at t=706"):
+        kaplan.comparison_solution(0.5, 2, 709.0)
+    with pytest.raises(OutOfDomainError, match="escapes"):
+        kaplan.comparison_solution(2.0, 2, 1.0)
+
+
 def test_comparison_solution_needs_a_positive_datum():
     # sigma(0) = q0^(1-p) is undefined at q0 = 0 and negative q0 has no
     # comparison problem

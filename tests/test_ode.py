@@ -45,11 +45,12 @@ def test_step_budget_failure_is_typed(monkeypatch):
 
 
 def test_power_blowup_times():
-    # r' = r^p from r0 blows up at 1/((p-1) r0^(p-1)), by separation of
-    # variables; the threshold at 1e8 sits close enough to the pole.
+    # r' = r^p from r0 reaches r at (r0^(1-p) - r^(1-p))/(p-1), by
+    # separation of variables; the escape time is that crossing of the
+    # 1e8 threshold, located on the escaping step's dense output
     r0 = 1.3
     for p in (2, 3, 4):
-        t_star = 1.0 / ((p - 1) * r0 ** (p - 1))
+        t_cross = (r0 ** (1 - p) - 1e8 ** (1 - p)) / (p - 1)
         spec = ode.IvpSpec(
             rhs=lambda t, y, p=p: y**p,
             y0=np.array([r0]),
@@ -60,7 +61,7 @@ def test_power_blowup_times():
         )
         outcome = ode.integrate(spec)
         assert outcome.kind == ode.BLOW_UP
-        assert abs(outcome.t_end - t_star) <= 1e-6
+        assert abs(outcome.t_end - t_cross) <= 1e-9 * t_cross
 
 
 def test_escape_is_bracketed_tightly():
@@ -75,34 +76,30 @@ def test_escape_is_bracketed_tightly():
     assert outcome.kind == ode.BLOW_UP
     assert outcome.max_norms[-1] > 1e6
     assert np.all(outcome.max_norms[:-1] <= 1e6)
-    # the run ends on the escaping step, which is at most 5e-7 long
+    # the run ends on the escaping step; near the pole the controller's
+    # steps shrink with 1 - t, so that step is at most 5e-7 long
     assert outcome.times[-1] - outcome.times[-2] <= 5e-7
 
 
-@pytest.mark.parametrize("horizon, longest", [(5.0, 5e-7), (1e6, 2e-6)])
-def test_long_escaping_step_is_halved(horizon, longest):
-    # y' = y^2 from 1 crosses 10 at t = 0.9, where the controller takes
-    # steps far longer than 5e-7; a crossing attempt is retried on at
-    # most half the step, and no later step reaches past half of the
-    # rest of it, until the escaping step is at most 5e-7 long. On a
-    # window of 1e6, min_step (1e-6) exceeds that: the retries stop at
-    # min_step, and the run is still a threshold escape
-    rhs, calls = _counted(lambda t, y: y * y)
-    outcome = ode.integrate(_spec(rhs, horizon=horizon,
-                                  blowup_threshold=10.0))
-    stats = outcome.stats
-    assert stats.termination == ode.THRESHOLD_ESCAPE
-    assert stats.h_max > 1e-3
-    assert abs(outcome.t_end - 0.9) <= 1e-6
-    last = outcome.times[-1] - outcome.times[-2]
-    assert outcome.spec.min_step <= last <= longest
+@pytest.mark.parametrize("rhs, y0, threshold, t_cross", [
+    # y' = y^2 from 1: y = 1/(1 - t) crosses the level at 1 - 1/level
+    (lambda t, y: y * y, 1.0, 1e6, 1.0 - 1e-6),
+    (lambda t, y: y * y, 1.0, 10.0, 0.9),
+    # y' = cos t from 0, a concave norm
+    (lambda t, y: np.cos(t) + 0.0 * y, 0.0, 0.9, math.asin(0.9)),
+])
+def test_threshold_escape_is_located(rhs, y0, threshold, t_cross):
+    # the run ends on the accepted step that carries max |y| past the
+    # threshold, and t_end is the crossing located inside that step
+    counted, calls = _counted(rhs)
+    outcome = ode.integrate(_spec(counted, y0=y0, horizon=5.0,
+                                  blowup_threshold=threshold))
+    assert outcome.stats.termination == ode.THRESHOLD_ESCAPE
     norms = outcome.max_norms
-    assert norms[-1] > 10.0 and np.all(norms[:-1] <= 10.0)
-    assert stats.rhs_calls == len(calls)
-    # a run that forgot each retry and grew the step past the crossing
-    # again made 578 calls at horizon 5; a bisection by RK sub-steps of
-    # the crossing step made 435
-    assert stats.rhs_calls <= 435
+    assert norms[-1] > threshold and np.all(norms[:-1] <= threshold)
+    assert outcome.times[-2] < outcome.t_end <= outcome.times[-1]
+    assert abs(outcome.t_end - t_cross) <= 1e-9
+    assert outcome.stats.rhs_calls == len(calls)
 
 
 def test_tolerance_reduction_buys_accuracy():
@@ -472,16 +469,20 @@ def test_stats_count_the_run(rhs, kw, kind, termination):
     steps = np.diff(outcome.times)
     assert stats.h_min == steps.min() and stats.h_max == steps.max()
     assert (stats.nonfinite_retries > 0) == (termination == ode.NONFINITE)
-    assert outcome.t_end == outcome.times[-1]
+    if termination == ode.THRESHOLD_ESCAPE:
+        # the located crossing lies inside the escaping step
+        assert outcome.times[-2] < outcome.t_end <= outcome.times[-1]
+    else:
+        assert outcome.t_end == outcome.times[-1]
     if termination == ode.HORIZON:
-        # no escape bracketing: twelve fresh stages per attempt after the
-        # initial evaluation and the first-step guess
+        # twelve fresh stages per attempt after the initial evaluation
+        # and the first-step guess
         assert stats.rhs_calls == 2 + 12 * (stats.accepted + stats.rejected)
 
 
 @pytest.mark.parametrize("rhs, kw", [
     (lambda t, y: -2.0 * y, {}),
-    # a threshold escape that shortens its crossing step
+    # a threshold escape, located on the escaping step's dense output
     (lambda t, y: y * y, {"horizon": 5.0, "blowup_threshold": 1e6}),
 ])
 def test_stop_is_asked_on_every_step_that_did_not_escape(rhs, kw):
@@ -544,41 +545,6 @@ def test_nonfinite_middle_stage_is_rejected_early():
     assert abs(outcome.final_state[0] - math.exp(-1.0)) <= 1e-9
 
 
-def test_escape_on_a_concave_norm_keeps_its_bracket():
-    # y' = cos t from 0 crosses 0.9 at asin(0.9) with a concave norm, so
-    # the chord estimate lies past the crossing and the retries approach
-    # it from below, on steps capped at half the rest of the last
-    # crossing attempt. It makes 302 calls; a run that forgot each retry
-    # made 566, one that retried on the chord without the cap 710
-    rhs, calls = _counted(lambda t, y: np.cos(t) + 0.0 * y)
-    outcome = ode.integrate(_spec(rhs, y0=0.0, horizon=10.0,
-                                  blowup_threshold=0.9))
-    assert outcome.stats.termination == ode.THRESHOLD_ESCAPE
-    assert outcome.times[-1] - outcome.times[-2] <= 5e-7
-    assert abs(outcome.t_end - math.asin(0.9)) <= 1e-6
-    norms = outcome.max_norms
-    assert norms[-1] > 0.9 and np.all(norms[:-1] <= 0.9)
-    assert outcome.stats.rhs_calls == len(calls) <= 320
-
-
-def test_unconfirmed_crossing_releases_the_step_cap(monkeypatch):
-    # y' = 0 from 1 takes 12 calls per attempt, each step 5 times the
-    # last. Attempt k, the first longer than 0.01, sees y' = 100 in all
-    # its stages and in its FSAL stage, so it crosses 2 with a zero error
-    # estimate; no later step crosses. Once the run passes the end of
-    # that attempt, its steps grow again instead of staying at 2.5e-7
-    monkeypatch.setattr(ode, "_MAX_STEPS", 20_000)
-    grid = ode.integrate(_spec(lambda t, y: 0.0 * y)).times
-    k = int(np.argmax(np.diff(grid) > 0.01))
-    spike = range(1 + 12 * k, 14 + 12 * k)
-    rhs, calls = _counted(
-        lambda t, y: 100.0 + 0.0 * y if len(calls) - 1 in spike else 0.0 * y)
-    outcome = ode.integrate(_spec(rhs, blowup_threshold=2.0))
-    assert outcome.kind == ode.REACHED_HORIZON
-    assert outcome.final_state[0] < 2.0
-    assert outcome.stats.h_max > 0.1
-
-
 def _wide_first_attempt(poison):
     """Runs y' = -y on 512 entries twice: clean, and with ``poison``
     applied to stage 2 of the first attempt. Returns the first step of
@@ -621,16 +587,19 @@ def test_huge_finite_stage_is_not_flagged():
 
 
 def test_rhs_may_reuse_its_output_buffer():
-    # an RHS that writes every result into one array must give the same
-    # bits as one that returns fresh arrays, through rejected attempts
-    # (the next attempt starts from the stored FSAL stage) and through
-    # the escaping step, whose FSAL stage is stored too
+    # an RHS that writes every stepping result into one array must give
+    # the same bits as one that returns fresh arrays, through rejected
+    # attempts (the next attempt starts from the stored FSAL stage) and
+    # through the escaping step, whose FSAL stage is stored too and
+    # feeds the dense output that locates the escape. The dense output
+    # calls it on (1, S) columns, which get fresh arrays
     buf = np.empty(1)
     runs = [
         ode.integrate(_spec(rhs, horizon=5.0, blowup_threshold=1e6,
                             rtol=1e-6, atol=1e-8))
         for rhs in (lambda t, y: y * y,
-                    lambda t, y: np.multiply(y, y, out=buf))
+                    lambda t, y: np.multiply(y, y, out=buf) if y.ndim == 1
+                    else y * y)
     ]
     fresh, reused = runs
     assert fresh.stats.rejected > 0
@@ -638,6 +607,7 @@ def test_rhs_may_reuse_its_output_buffer():
     for a, b in ((fresh.times, reused.times), (fresh.states, reused.states),
                  (fresh.derivs, reused.derivs)):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    assert fresh.t_end.hex() == reused.t_end.hex()
 
 
 def _run_digest(monkeypatch, fn):
@@ -708,11 +678,11 @@ def test_pinned_bits_fd_run(monkeypatch):
     replay, _, digest = _run_digest(
         monkeypatch, lambda: ode.integrate(fd._mol_spec(config)))
     run = fd.fd_single_run(config)
-    assert run.estimate.hex() == "0x1.109eec0f884bfp-4"
+    assert run.estimate.hex() == "0x1.109edc6bb31b1p-4"
     assert len(run.times) - 1 == 49
     _assert_fd_run_matches_replay(run, replay)
     assert digest == (
-        "35d6f1095a665af77512f27e70494c8fd5a797555077df7da0885abcf527811e")
+        "5bc6f382fbabdb14d5888c0e048a9fadc5d3dc53e827e2550bae05789d1e2973")
 
 
 def test_pinned_bits_critical_amplitude(monkeypatch):

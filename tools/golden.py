@@ -48,6 +48,8 @@ RUNS = {
     "fd": ["fd", "--A", "100", "--profile-time", "0.5"],
     # a norms CSV from a long fine run (1,123 steps on 512 points)
     "fd_A20": ["fd", "--A", "20"],
+    # a threshold escape at p != 2
+    "fd_p3": ["fd", "--p", "3", "--A", "20"],
     "picard": ["picard", "--A", "1", "--horizon", "2"],
     "wave": ["wave"],
     "wave_p3": ["wave", "--p", "3"],
