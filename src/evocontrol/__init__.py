@@ -5,7 +5,8 @@ The package turns an approximate trajectory plus three scalar estimators
 exact solution, via a scalar control inequality. The concrete setting is
 the Dirichlet reaction problem on (0, pi) with a power nonlinearity:
 spectral reductions give the approximate trajectories, the control
-system gives rigorous lower bounds on the lifespan, a positivity
+system gives lower bounds on the lifespan (its radius R comes from a
+float integration and is not yet an enclosure), a positivity
 functional gives upper bounds, and independent reference solvers and
 verification routines cross-check everything.
 """

@@ -4,9 +4,10 @@ Method of lines on (0, pi): interior points x_i = i*h, h = pi/(N+1), the
 second derivative replaced by the standard three-point stencil, and the
 same adaptive integrator used everywhere else marching the N-dimensional
 system. Nothing here is certified; the numbers are reference estimates
-used to sanity-check the rigorous lower/upper bounds (a blow-up estimate
-should land between the certified time and the comparison time, and the
-large-amplitude runs should follow the rescaled profile).
+used to sanity-check the lower/upper bounds (a blow-up estimate should
+land between t_G, which like R comes from a float integration and is
+not yet an enclosure, and the comparison time; the large-amplitude runs
+should follow the rescaled profile).
 
 Each estimate is produced twice, on N and 2N interior points, and the
 two runs must agree within a stated relative tolerance before a value is

@@ -126,7 +126,10 @@ def comparison_solution(q0: float, p: int, t: float) -> float:
     otherwise, and :class:`OutOfDomainError` when t is at or past the
     escape time of the comparison problem, or when the run ends early
     in any other way: below the fixed point sigma grows like
-    e^((p-1) t) and overflows near t = 709/(p-1), a domain exit.
+    e^((p-1) t) and overflows near t = 709/(p-1), a domain exit. There
+    the relative error grows about 9.2e-12 per unit time: against
+    S = 1/(1 + e^t) (q0 = 1/2, p = 2) it is 9.5e-11 at t = 10, 9.2e-10
+    at t = 100 and 6.5e-9 at t = 700.
     """
     check_power(p)
     if not q0 > 0.0:

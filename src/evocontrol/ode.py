@@ -318,15 +318,13 @@ class IvpOutcome:
 
         Accepts a scalar or 1-d array of times inside
         ``[times[0], times[-1]]``; returns states with one row per query.
-        Each queried step is recomputed from its stored start (t, y, f)
-        and length, with the 3 extra stages of the dense output, so the
-        outcome stores nothing beyond its step history. The queried
-        steps are recomputed together, as the columns of one RHS call
-        per stage (the column contract of :class:`IvpSpec`), in chunks
-        whose stage buffer stays within ``_DENSE_BYTES``. An outcome
-        without an accepted step returns its one sample. Raises
-        :class:`HistoryError` when the spec did not ask for
-        ``dense_output``.
+        The queried steps are recomputed from their stored ends by
+        :func:`_step_coefficients`, as (n, S) columns (the column contract
+        of :class:`IvpSpec`) in chunks whose stage buffer stays within
+        ``_DENSE_BYTES``, so the outcome stores nothing beyond its step
+        history. An outcome without an accepted step returns its one
+        sample. Raises :class:`HistoryError` when the spec did not ask
+        for ``dense_output``.
         """
         if not self.spec.dense_output:
             raise HistoryError("the run kept no step history to interpolate "
@@ -336,9 +334,7 @@ class IvpOutcome:
         lo, hi = times[0], times[-1]
         slack = 1e-12 * max(1.0, abs(hi))
         if np.any(tq < lo - slack) or np.any(tq > hi + slack):
-            raise OutOfDomainError(
-                f"interpolation time outside [{lo}, {hi}]"
-            )
+            raise OutOfDomainError(f"interpolation time outside [{lo}, {hi}]")
         if len(times) == 1:
             out = np.tile(self.states[0], (tq.size, 1))
         else:
@@ -351,38 +347,48 @@ class IvpOutcome:
             width = max(1, _DENSE_BYTES // (16 * 8 * n))
             for s in range(0, steps.size, width):
                 at = np.flatnonzero((column >= s) & (column < s + width))
-                out[at] = _dense_output(
-                    self.spec.rhs, times, self.states, self.derivs,
-                    steps[s : s + width], tq[at], column[at] - s,
-                )
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return out[0]
-        return out
+                chunk, q = steps[s : s + width], column[at] - s
+                start, end = self._columns(chunk), self._columns(chunk + 1)
+                coeffs = _step_coefficients(self.spec.rhs, start, end)
+                t0 = start[0][q]
+                x = (tq[at] - t0) / (end[0][q] - t0)
+                out[at] = _horner(start[1][:, q], coeffs[:, :, q], x).T
+        return out[0] if np.ndim(t) == 0 else out
 
     def crossing(self, level: float) -> float:
-        """The first time in the last step, which starts above ``level``
-        and ends at or below it, at which the last component of the
-        state reaches it, located by :func:`_crossing`."""
-        return _crossing(lambda tq: self.interpolate(tq)[:, -1] - level,
-                         *self.times[-2:])
+        """A time in the last step, which starts above ``level`` and ends
+        at or below it, at which the last component of the state reaches
+        it, bisected by :func:`_bisect` on that step's dense output in
+        float arithmetic. Raises :class:`HistoryError` when the spec did
+        not ask for ``dense_output``."""
+        if not self.spec.dense_output:
+            raise HistoryError("the run kept no step history to locate a "
+                               "crossing (dense_output=False)")
+        start, end = zip(self.times[-2:].tolist(), self.states[-2:],
+                         self.derivs[-2:])
+        coeffs = _step_coefficients(self.spec.rhs, start, end)[:, -1].tolist()
+        y0 = start[1][-1].item()
+        return _bisect(start[0], end[0],
+                       lambda x: _horner(y0, coeffs, x) <= level)
+
+    def _columns(self, index: np.ndarray):
+        """(t, y, f) at the grid indices ``index``: the times, and the
+        stored states and derivatives as the columns of (n, S) arrays."""
+        return (self.times[index],
+                *(np.stack([rows[i] for i in index.tolist()], axis=1)
+                  for rows in (self.states, self.derivs)))
 
 
-def _crossing(excess: Callable[[np.ndarray], np.ndarray], t0: float,
-              t1: float) -> float:
-    """The first time in [t0, t1] at which ``excess``, positive at t0 and
-    at most 0 at t1, reaches 0. ``excess`` maps an array of times to an
-    array of values; it is interpolated at 8 Chebyshev points by a
-    polynomial of degree 7, exact for the dense output of one component,
-    and the zero is bisected on it to the resolution of the time grid."""
-    mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-    cheb = np.polynomial.chebyshev
-    coef = cheb.chebinterpolate(lambda x: excess(mid + half * x), 7)
-    lo, hi = float(t0), float(t1)
+def _bisect(t0: float, t1: float, reached: Callable[[float], bool]) -> float:
+    """A time in [t0, t1] at which a step's dense output reaches a level,
+    bisected to the resolution of the time grid. ``reached(x)`` tells
+    whether it has at x = (t - t0)/(t1 - t0); false at t0, true at t1."""
+    lo, hi, h = t0, t1, t1 - t0
     while (t := 0.5 * (lo + hi)) not in (lo, hi):
-        if cheb.chebval((t - mid) / half, coef) > 0.0:
-            lo = t
-        else:
+        if reached((t - t0) / h):
             hi = t
+        else:
+            lo = t
     return hi
 
 
@@ -459,11 +465,6 @@ def _rk_step(rhs: Rhs, t: float, y: np.ndarray, f: np.ndarray, h: float,
     return 12, y8, f_new
 
 
-def _columns(rows, index: np.ndarray) -> np.ndarray:
-    """The stored rows at ``index`` as the columns of an (n, S) array."""
-    return np.stack([rows[i] for i in index.tolist()], axis=1)
-
-
 def _combine(terms, k: np.ndarray) -> np.ndarray:
     """sum_j w_j k[j] over the (j, w_j) ``terms``, added term by term in
     their order, so every column gets the same bits whatever the number
@@ -475,56 +476,45 @@ def _combine(terms, k: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _dense_output(rhs: Rhs, times: np.ndarray, states, derivs,
-                  chunk: np.ndarray, tq: np.ndarray,
-                  step: np.ndarray) -> np.ndarray:
-    """The 7th-order dense output of the S stored steps ``chunk``, from
-    (t0, y0, f0) = (times, states, derivs)[i] to (t1, y1, f1) at i + 1
-    for i in ``chunk``, at the times ``tq``, query q on step
-    ``chunk[step[q]]``.
+def _step_coefficients(rhs: Rhs, start, end) -> np.ndarray:
+    """The coefficients F0..F6 of the 7th-order dense output of the step
+    from ``start`` = (t0, y0, f0) to ``end`` = (t1, y1, f1), whose state
+    at x = (t - t0)/(t1 - t0) is :func:`_horner` (y0, F, x).
 
-    The steps are the S columns of (n, S) arrays. Stages 1-11 are
-    recomputed, stage 12 is the stored derivative f1, and stages 13-15
-    are the extra ones; each stage is one RHS call on all S columns. The
-    polynomial in x = (t - t0)/h is
-    y0 + x (F0 + (1-x) (F1 + x (F2 + (1-x) (F3 + ...)))), which meets
-    y0 and y1 at the ends. Returns one row per query."""
-    t0 = times[chunk]
-    h = times[chunk + 1] - t0
-    y0, y1 = _columns(states, chunk), _columns(states, chunk + 1)
-    f0, f1 = _columns(derivs, chunk), _columns(derivs, chunk + 1)
+    One step comes as float times and (n,) rows and gives (7, n); S
+    steps come as (S,) times and (n, S) columns and give (7, n, S).
+    Stages 1-11 are recomputed, stage 12 is f1 and stages 13-15 are the
+    extra ones; each stage is one RHS call on all the steps."""
+    (t0, y0, f0), (t1, y1, f1) = start, end
+    h = t1 - t0
     k = np.empty((16,) + y0.shape)
     k[0] = f0
     k[12] = f1
     for i, terms in _DENSE_STAGES:
         k[i] = rhs(t0 + _C[i] * h, y0 + h * _combine(terms, k))
     dy = y1 - y0
-    coeffs = (dy, h * f0 - dy, 2.0 * dy - h * (f0 + f1),
-              *(h * _combine(terms, k) for terms in _D_TERMS))
-    x = (tq - t0[step]) / h[step]
-    out = np.zeros((y0.shape[0], tq.size))
+    return np.stack((dy, h * f0 - dy, 2.0 * dy - h * (f0 + f1),
+                     *(h * _combine(terms, k) for terms in _D_TERMS)))
+
+
+def _horner(y0, coeffs, x):
+    """The dense output y0 + x (F0 + (1-x) (F1 + x (F2 + (1-x) (F3 + ...))))
+    of the coefficients F of :func:`_step_coefficients` at x, which meets
+    y0 and y1 at x = 0 and 1; on floats or on arrays that broadcast."""
+    acc = 0.0
     for j, c in enumerate(reversed(coeffs)):
-        out += c[:, step]
-        out *= x if j % 2 == 0 else 1.0 - x
-    return (out + y0[:, step]).T
+        acc = (acc + c) * (x if j % 2 == 0 else 1.0 - x)
+    return acc + y0
 
 
 def _escape_time(rhs: Rhs, threshold: float, start, end) -> float:
     """The time at which max |y| reaches ``threshold`` on the step from
-    ``start`` to ``end``, each a (t, y, f) row, located by
-    :func:`_crossing` on the step's dense output (14 RHS calls). The
-    interpolant of max |y| is exact when one entry holds the max through
-    the step, as in a scalar run and at the peak of a finite-difference
-    profile."""
-    times, states, derivs = zip(start, end)
-
-    def excess(tq: np.ndarray) -> np.ndarray:
-        rows = _dense_output(rhs, np.array(times), states, derivs,
-                             np.zeros(1, np.intp), tq,
-                             np.zeros(tq.size, np.intp))
-        return threshold - np.abs(rows).max(axis=1)
-
-    return _crossing(excess, *times)
+    ``start`` to ``end``, each a (t, y, f) row, bisected by
+    :func:`_bisect` on the step's dense output (14 RHS calls)."""
+    coeffs = _step_coefficients(rhs, start, end)
+    y0 = start[1]
+    return _bisect(start[0], end[0],
+                   lambda x: np.abs(_horner(y0, coeffs, x)).max() >= threshold)
 
 
 def integrate(spec: IvpSpec) -> IvpOutcome:

@@ -119,6 +119,41 @@ def test_critical_bracket_must_straddle_the_threshold(monkeypatch):
         heat.critical_amplitude()
 
 
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_critical_certificates_sit_at_their_exact_levels(monkeypatch, p):
+    # the stop predicate of critical_amplitude, probed just inside and
+    # just outside each certificate: settled where M = ||phi|| + R lies
+    # below 2^(-1/(2(p-1))), the root of -M + sqrt(2) M^p, and escaping
+    # where R > 1, the root of R^p - R
+    class Recorded(Exception):
+        pass
+
+    def record(spec):
+        stops.append(spec.stop)
+        raise Recorded
+
+    stops = []
+    monkeypatch.setattr(ode, "integrate", record)
+    with pytest.raises(Recorded):
+        heat.critical_amplitude(p)
+    stop = stops[0]
+    norm = galerkin.build_model((1, 3), p).basis.norm
+
+    def state(phi_norm, radius):
+        # phi on mode 1 alone, with ||s_1|| = sqrt(2); sigma from R
+        a = np.array([phi_norm / math.sqrt(2.0), 0.0])
+        return np.append(a, (1.0 + radius) ** (1 - p)), norm(a)
+
+    level = 2.0 ** (-0.5 / (p - 1))
+    for scale, settled in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
+        y, m = state(scale * level, 0.0)
+        assert bool(stop(0.0, y)) is settled, scale
+        assert (2 * Fraction(m) ** (2 * (p - 1)) < 1) is settled, scale
+    for radius, escaped in ((0.95, False), (1.0 + 1e-9, True)):
+        y, _ = state(10.0, radius)
+        assert bool(stop(0.0, y)) is escaped, radius
+
+
 def _full_run(A):
     scenario = heat.HeatScenario(A=A)
     model = galerkin.build_model(scenario.modes, scenario.p)

@@ -102,6 +102,23 @@ def test_threshold_escape_is_located(rhs, y0, threshold, t_cross):
     assert outcome.stats.rhs_calls == len(calls)
 
 
+@pytest.mark.parametrize("c", [6.0, 6.5, 6.8, 6.9])
+def test_escape_where_the_largest_entry_changes(c):
+    # y0 = c + t and y1 = t^2: the dense output is exact, and max |y|
+    # reaches 10 at min(sqrt(10), 10 - c), inside an escaping step over
+    # which the largest entry changes, so max |y| is no polynomial there
+    def rhs(t, y):
+        return np.stack((np.ones_like(y[0]), 2.0 * (y[0] - c)))
+
+    outcome = ode.integrate(ode.IvpSpec(rhs=rhs, y0=np.array([c, 0.0]),
+                                        t0=0.0, horizon=10.0,
+                                        blowup_threshold=10.0))
+    assert outcome.stats.termination == ode.THRESHOLD_ESCAPE
+    start, end = outcome.states[-2:]
+    assert np.argmax(np.abs(start)) != np.argmax(np.abs(end))
+    assert abs(outcome.t_end - min(math.sqrt(10.0), 10.0 - c)) <= 1e-12
+
+
 def test_tolerance_reduction_buys_accuracy():
     # Fifth-order advancing solution: dividing both tolerances by 32
     # roughly halves the accepted steps, which should cut the global
@@ -649,7 +666,7 @@ def test_pinned_bits_coupled_scenario(monkeypatch):
 def test_pinned_bits_kaplan_comparison(monkeypatch):
     t_esc, outcomes, digest = _run_digest(
         monkeypatch, lambda: kaplan.comparison_blowup_time(2.0, 3))
-    assert t_esc.hex() == "0x1.269621134c8edp-3"
+    assert t_esc.hex() == "0x1.269621134c8ecp-3"
     assert len(outcomes[0].times) == 4
     assert digest == (
         "38ea0f8648975b35b5646548f6775700899ea61a3b9798957aabcb5a920e1404")

@@ -31,6 +31,10 @@ RUNS = {
     # sigma, past 0, is continued by its odd real root
     "scenario_p3_threshold": ["scenario", "--p", "3", "--A", "4",
                               "--blowup-threshold", "1000"],
+    # a threshold below the coordinates' peak: the run ends as the
+    # engine's max-norm escape of the coupled (a, sigma) state
+    "scenario_coord_threshold": ["scenario", "--A", "4",
+                                 "--blowup-threshold", "5"],
     # twelve modes: where the node kernel and a Gram form over degree-p
     # monomials differ the most
     "scenario_many": ["scenario", "--A", "10", "--modes",
