@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
@@ -204,60 +203,3 @@ def epsilon_hat(model: GalerkinModel, a: np.ndarray) -> float:
     form = model.eps_form
     c, power = project_power(form, a)
     return math.sqrt(missed_sq(form, power, c))
-
-
-def _products_on_nodes(SV: np.ndarray, SD: np.ndarray,
-                       positions: np.ndarray):
-    """Values and derivatives of prod_{l in L} s_l on the nodes, one row
-    per row of ``positions``, from the mode samples SV and SD. Term i of
-    the derivative multiplies s_{l_i}' by the other factors in order."""
-    vals = SV[positions]  # (monomials, p, nodes)
-    dprod = np.zeros_like(vals[:, 0])
-    for i in range(positions.shape[1]):
-        factors = [SD[positions[:, i : i + 1]], np.delete(vals, i, axis=1)]
-        dprod += np.multiply.reduce(np.concatenate(factors, axis=1), axis=1)
-    return np.multiply.reduce(vals, axis=1), dprod
-
-
-def eigen_invariance_defect(indices: Sequence[int], p: int) -> tuple[float, float]:
-    """Largest residual coefficients the error form drops for eigen-spans.
-
-    For a general finite span, the squared residual carries a quadratic
-    block (from the linear part of the equation escaping the span) and a
-    degree-(p+1) cross block. Both vanish identically when the span is
-    invariant under the Laplacian, as every sine mode set is. Returns the
-    max absolute assembled coefficient of each block, computed by
-    quadrature, so tests can assert they are zero to roundoff.
-    """
-    basis = GalerkinBasis(tuple(indices))
-    idx = basis.indices
-    kmax = max(idx)
-    x, w = quad.nodes(2 * (p + 1) * kmax)
-    SV = np.array([quad.sine_values(k, x) for k in idx])
-    SD = np.array([quad.sine_derivs(k, x) for k in idx])
-
-    def project_out(vals, ders):
-        # subtract the span projection sum_k <s_k|f>_{L2} s_k
-        coeff = (SV * w) @ vals
-        return vals - coeff @ SV, ders - coeff @ SD
-
-    # residuals of the linear images Lap(s_j) = -j^2 s_j
-    lin_res = []
-    for j_pos, j in enumerate(idx):
-        vals = -(j**2) * SV[j_pos]
-        ders = -(j**2) * SD[j_pos]
-        lin_res.append(project_out(vals, ders))
-
-    quad_block = 0.0
-    for rv, rd in lin_res:
-        for sv, sd in lin_res:
-            quad_block = max(quad_block, abs(quad.h1_inner(rv, rd, sv, sd, w)))
-
-    cross_block = 0.0
-    monomials = list(combinations_with_replacement(idx, p))
-    positions = np.searchsorted(idx, monomials)
-    for pv, pd in zip(*_products_on_nodes(SV, SD, positions)):
-        rv, rd = project_out(pv, pd)
-        for lv, ld in lin_res:
-            cross_block = max(cross_block, abs(quad.h1_inner(lv, ld, rv, rd, w)))
-    return quad_block, cross_block

@@ -183,14 +183,20 @@ _D = np.array([
 # the stage rows as arrays and the 8th-order weights
 _ROWS = tuple(np.array(row) for row in _A)
 _B = _ROWS[12]
-# the stages the dense output recomputes, each with the nonzero
-# (stage, weight) terms of its row, and the nonzero terms of the _D rows
-_DENSE_STAGES = tuple(
-    (i, tuple((j, w) for j, w in enumerate(_A[i]) if w != 0.0))
-    for i in (*range(1, 12), 13, 14, 15)
-)
-_D_TERMS = tuple(tuple((j, w) for j, w in enumerate(row.tolist()) if w != 0.0)
-                 for row in _D)
+
+
+def _nonzero_terms(row: np.ndarray):
+    """The stages a tableau row weighs and their weights as an (m, 1)
+    column."""
+    used = np.flatnonzero(row)
+    return used, row[used][:, None]
+
+
+# the 18 combinations of the dense output: the rows of the 14 stages it
+# recomputes, each with its stage index, and the 4 _D rows
+_DENSE_STAGES = tuple((i, _nonzero_terms(_ROWS[i]))
+                      for i in (*range(1, 12), 13, 14, 15))
+_D_TERMS = tuple(_nonzero_terms(row) for row in _D)
 
 _sum = np.add.reduce
 
@@ -414,15 +420,16 @@ def _initial_step(rhs: Rhs, t0: float, y0: np.ndarray, f0: np.ndarray,
                   rtol: float, atol: float, span: float) -> float:
     """Classical two-evaluation guess for the first step size."""
     scale = atol + rtol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    n = y0.size
+    d0 = math.sqrt(_sum((y0 / scale) ** 2) / n)
+    d1 = math.sqrt(_sum((f0 / scale) ** 2) / n)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
     y1 = y0 + h0 * f0
     f1 = rhs(t0 + h0, y1)
     if not np.all(np.isfinite(f1)):
         return max(h0 * 1e-3, 1e-14 * span)
-    d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    d2 = math.sqrt(_sum(((f1 - f0) / scale) ** 2) / n) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -465,15 +472,15 @@ def _rk_step(rhs: Rhs, t: float, y: np.ndarray, f: np.ndarray, h: float,
     return 12, y8, f_new
 
 
-def _combine(terms, k: np.ndarray) -> np.ndarray:
-    """sum_j w_j k[j] over the (j, w_j) ``terms``, added term by term in
-    their order, so every column gets the same bits whatever the number
-    of columns."""
-    (j, w), *rest = terms
-    acc = w * k[j]
-    for j, w in rest:
-        acc += w * k[j]
-    return acc
+def _combination(stages: np.ndarray, terms) -> np.ndarray:
+    """The sum of the ``terms`` (:func:`_nonzero_terms`) of a tableau row
+    over stages laid out as rows: the used stages are gathered and
+    multiplied by their weights in one product, whose rows one
+    ``np.add.accumulate`` scan adds in the order of the stages, entry by
+    entry, so an entry gets the same bits whatever the other entries
+    are. The scan's first row is a copy, so a leading -0.0 stays."""
+    used, weights = terms
+    return np.add.accumulate(stages[used] * weights)[-1]
 
 
 def _step_coefficients(rhs: Rhs, start, end) -> np.ndarray:
@@ -484,26 +491,35 @@ def _step_coefficients(rhs: Rhs, start, end) -> np.ndarray:
     One step comes as float times and (n,) rows and gives (7, n); S
     steps come as (S,) times and (n, S) columns and give (7, n, S).
     Stages 1-11 are recomputed, stage 12 is f1 and stages 13-15 are the
-    extra ones; each stage is one RHS call on all the steps."""
+    extra ones; each stage is one RHS call on all the steps. Each
+    combination of stages (:func:`_combination`) adds its terms in
+    tableau order, so a coefficient has the same bits in any layout and
+    any chunk of steps."""
     (t0, y0, f0), (t1, y1, f1) = start, end
     h = t1 - t0
-    k = np.empty((16,) + y0.shape)
+    shape = y0.shape
+    k = np.empty((16,) + shape)
+    stages = k.reshape(16, -1)  # a view of k with the stages as rows
     k[0] = f0
     k[12] = f1
     for i, terms in _DENSE_STAGES:
-        k[i] = rhs(t0 + _C[i] * h, y0 + h * _combine(terms, k))
+        dy = _combination(stages, terms).reshape(shape)
+        k[i] = rhs(t0 + _C[i] * h, y0 + h * dy)
     dy = y1 - y0
     return np.stack((dy, h * f0 - dy, 2.0 * dy - h * (f0 + f1),
-                     *(h * _combine(terms, k) for terms in _D_TERMS)))
+                     *(h * _combination(stages, terms).reshape(shape)
+                       for terms in _D_TERMS)))
 
 
 def _horner(y0, coeffs, x):
     """The dense output y0 + x (F0 + (1-x) (F1 + x (F2 + (1-x) (F3 + ...))))
-    of the coefficients F of :func:`_step_coefficients` at x, which meets
-    y0 and y1 at x = 0 and 1; on floats or on arrays that broadcast."""
+    of the 7 coefficients F of :func:`_step_coefficients` at x, which
+    meets y0 and y1 at x = 0 and 1; on floats or on arrays that
+    broadcast."""
+    u = 1.0 - x
     acc = 0.0
-    for j, c in enumerate(reversed(coeffs)):
-        acc = (acc + c) * (x if j % 2 == 0 else 1.0 - x)
+    for c, factor in zip(reversed(coeffs), (x, u, x, u, x, u, x)):
+        acc = (acc + c) * factor
     return acc + y0
 
 

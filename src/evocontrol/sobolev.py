@@ -89,10 +89,6 @@ def closed_square_norm_sq(lam: float) -> float:
     return l2_part + deriv_part
 
 
-def closed_ratio(lam: float) -> float:
-    return math.sqrt(closed_square_norm_sq(lam)) / closed_norm_sq(lam)
-
-
 # ---------------------------------------------------------------------------
 # the kink family: quadrature route
 

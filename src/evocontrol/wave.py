@@ -87,14 +87,6 @@ def wave_growth_bound(datum: WaveDatum, t: float) -> float:
     return datum.sup_abs / denom ** (1.0 / (p - 1))
 
 
-def characteristic_value(a: float, p: int, t: float) -> float:
-    """Solution of w' = w^p, w(0) = a, while it exists."""
-    denom = 1.0 - (p - 1) * a ** (p - 1) * t
-    if denom <= 0.0:
-        raise OutOfDomainError(f"characteristic from {a} blew up before t={t}")
-    return a / denom ** (1.0 / (p - 1))
-
-
 def exact_solution_sup(values, p: int, t: float) -> float:
     """Sup-norm of the exact solution at time t, from datum samples.
 

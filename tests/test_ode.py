@@ -185,6 +185,88 @@ def test_tableau_is_dop853():
         assert abs(math.fsum(row) - node) <= 1e-14
 
 
+def _combine(terms, k: np.ndarray) -> np.ndarray:
+    """sum_j w_j k[j] over the (j, w_j) ``terms``, added term by term in
+    their order: the reference for the engine's stage combinations."""
+    (j, w), *rest = terms
+    acc = w * k[j]
+    for j, w in rest:
+        acc += w * k[j]
+    return acc
+
+
+def _reference_coefficients(rhs, start, end) -> np.ndarray:
+    """ode._step_coefficients with every combination of stages made by
+    _combine from the nonzero entries of the tableau."""
+    (t0, y0, f0), (t1, y1, f1) = start, end
+    h = t1 - t0
+    k = np.empty((16,) + y0.shape)
+    k[0] = f0
+    k[12] = f1
+
+    def terms(row):
+        return [(j, w) for j, w in enumerate(row) if w != 0.0]
+
+    for i in (*range(1, 12), 13, 14, 15):
+        k[i] = rhs(t0 + ode._C[i] * h, y0 + h * _combine(terms(ode._A[i]), k))
+    dy = y1 - y0
+    return np.stack((dy, h * f0 - dy, 2.0 * dy - h * (f0 + f1),
+                     *(h * _combine(terms(row.tolist()), k) for row in ode._D)))
+
+
+def _oracle_step(shape, seed):
+    """An elementwise right-hand side and the two ends of one step (float
+    times, (n,) rows) or of S steps ((S,) times, (n, S) columns)."""
+    def rhs(t, y):
+        return np.sin(3.0 * y) * y - 0.5 * y + t
+
+    rng = np.random.default_rng(seed)
+    y0 = rng.normal(size=shape) * rng.choice([1e-3, 1.0, 1e3], size=shape)
+    y1 = y0 + rng.normal(size=shape)
+    if len(shape) == 1:
+        t0, t1 = 0.25, 0.25 + 0.01 * rng.uniform(0.5, 2.0)
+    else:
+        t0 = np.cumsum(rng.uniform(0.001, 0.1, size=shape[1]))
+        t1 = t0 + rng.uniform(0.001, 0.1, size=shape[1])
+    return rhs, (t0, y0, rhs(t0, y0)), (t1, y1, rhs(t1, y1))
+
+
+@pytest.mark.parametrize("shape", [
+    (1,), (3,), (512,), (3, 7), (3, 33), (3, 34), (3, 341),
+])
+def test_step_coefficients_keep_the_bits_of_the_term_loop(shape):
+    rhs, start, end = _oracle_step(shape, seed=sum(shape))
+    got = ode._step_coefficients(rhs, start, end)
+    assert got.shape == (7,) + shape
+    assert got.tobytes() == _reference_coefficients(rhs, start, end).tobytes()
+
+
+@pytest.mark.parametrize("entries", [3, 512])
+def test_combinations_keep_a_negative_zero(entries):
+    # a sum of products that are all -0.0 is -0.0; an ordered sum that
+    # started from +0.0 would give +0.0
+    stages = np.full((16, entries), -0.0)
+    for row in (*ode._A[1:12], *ode._A[13:], *ode._D):
+        positive = np.abs(np.asarray(row, dtype=float))
+        got = ode._combination(stages, ode._nonzero_terms(positive))
+        want = _combine([(j, w) for j, w in enumerate(positive) if w], stages)
+        assert np.all(np.signbit(got)) and np.all(got == 0.0)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_horner_on_floats_keeps_the_bits_of_arrays():
+    rng = np.random.default_rng(3)
+    y0 = rng.normal(size=(2, 9))
+    coeffs = rng.normal(size=(7, 2, 9)) * np.logspace(0, -6, 7)[:, None, None]
+    x = np.concatenate(([0.0, 1.0], rng.uniform(size=7)))
+    values = ode._horner(y0, coeffs, x)
+    for i in range(2):
+        for j in range(9):
+            one = ode._horner(y0[i, j].item(), coeffs[:, i, j].tolist(),
+                              x[j].item())
+            assert one.hex() == values[i, j].item().hex()
+
+
 @pytest.mark.parametrize(
     "rhs, y0, horizon, exact",
     [
