@@ -28,10 +28,6 @@ class NotApplicableError(EvocontrolError):
     """A criterion's hypotheses are not met, so its conclusion cannot be invoked."""
 
 
-class HistoryError(EvocontrolError):
-    """An integration outcome was asked for a step history it did not keep."""
-
-
 class GridDisagreementError(EvocontrolError):
     """Two grid resolutions disagree beyond the allowed relative gap."""
 

@@ -1,36 +1,102 @@
 """Finite-difference reference solver for the Dirichlet reaction problem.
 
-Method of lines on (0, pi): interior points x_i = i*h, h = pi/(N+1), the
-second derivative replaced by the standard three-point stencil, and the
-same adaptive integrator used everywhere else marching the N-dimensional
-system. Nothing here is certified; the numbers are reference estimates
-used to sanity-check the lower/upper bounds (a blow-up estimate should
-land between t_G, which like R comes from a float integration and is
-not yet an enclosure, and the comparison time; the large-amplitude runs
-should follow the rescaled profile).
+Method of lines on (0, pi): interior points x_i = i*h, h = pi/(N+1), and
+the second derivative replaced by the standard three-point stencil.
+Nothing here is certified; the numbers are reference estimates used to
+sanity-check the lower/upper bounds (a blow-up estimate should land
+between t_G, which like R comes from a float integration and is not yet
+an enclosure, and the comparison time; the large-amplitude runs should
+follow the rescaled profile).
+
+The engine. The stencil is diagonal in the discrete sines sin(k x_i),
+with the exact eigenvalues Lambda_k = -(4/h^2) sin^2(k h/2), and the
+datum A s_1 is symmetric about pi/2, a symmetry u^p keeps. So a run
+carries the coefficients of the ceil(N/2) odd sine modes and evaluates
+u^p on the half grid x_1..x_ceil(N/2): both transforms are products with
+one cached, read-only square sine matrix per N (the middle point of an
+odd N counts once in the forward sum, every other point twice). The
+diffusion is integrated exactly by the integrating factor e^{t Lambda}
+and the reaction by Dormand-Prince 5(4) in Lawson form (Lawson, SIAM J.
+Numer. Anal. 4, 1967; Hochbruck & Ostermann, Acta Numerica 19, 2010):
+stage i carries the factors e^{(c_i - c_j) h Lambda}, all taken by one
+``np.exp`` per attempt. DP5's nodes are monotone, so every factor has
+c_i >= c_j and stays <= 1; DOP853's are not, and its Lawson form would
+multiply stiff modes by factors up to e^{0.083 h |Lambda|}. The step
+size is therefore set by accuracy alone, not by the stencil's stability
+limit: the fine A=10 run takes about 500 steps where explicit DOP853
+took 2,366. The error is measured on the grid, as RMS of the embedded
+4th-order difference scaled by atol + rtol |u|, and ``ode``'s controller
+sets the next step. A threshold escape is located by bisection on the
+cubic Hermite interpolant of u and u' = S (Lambda u^ + N^) at the ends
+of the escaping step; DP5's continuous extension is not used, because
+in Lawson form its factors e^{(theta - c_j) h Lambda} grow wherever
+c_j > theta. At p = 2 the estimates agree with explicit DOP853 on the
+full grid to 1e-9 relative (A = 2 to 100, N = 256 and 512).
 
 Each estimate is produced twice, on N and 2N interior points, and the
 two runs must agree within a stated relative tolerance before a value is
 reported; the returned number is the Richardson extrapolation of the
-pair under the stencil's second-order error model. A reference run
-reads only its grid, the max-norm at each step and the overall minimum,
-which the integrator records as it steps, so it keeps no state history;
-only the run of :func:`limit_profile_check`, which interpolates, does.
+pair under the stencil's second-order error model. A run keeps its grid
+and the max-norm and minimum of u at each accepted step, not its states.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from . import ode
 from .control import check_power
-from .errors import GridDisagreementError
+from .errors import GridDisagreementError, StepBudgetError
 from .records import SPEC_VERSION, ext_pair, write_csv
 
 _AGREEMENT_RTOL = 0.02
+
+# Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6, 1980).
+# Stage i sits at node _NODES[i] / 90 and combines stages 0..i-1 with the
+# weights _A[i]. Row 6 holds the 5th-order weights, so stage 6 is the
+# derivative at the advanced state (FSAL: stage 0 of the next step). _E
+# weighs stages 0-6 into the 5th- minus the 4th-order solution.
+_NODES = (0, 18, 27, 72, 80, 90, 90)  # exact integers, so gaps are exact
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+      -1 / 40)
+_ORDER_EXP = 0.2  # 1 / (order of the advancing solution)
+
+# The Lawson form. A stage buffer holds the rows [c, k_0, ..., k_6]: the
+# mode coefficients at the start of the step and the reaction stages.
+# Stage i sums the terms e^{c_i h Lambda} c and h a_ij e^{(c_i - c_j) h
+# Lambda} k_j over its rows 0..i; the error sums h e_j e^{(1 - c_j) h
+# Lambda} k_j over rows 1..7. _TERMS lists them as (i, j, weight), j None
+# for c; one np.exp per attempt takes the factors of the distinct gaps
+# c_i - c_j >= 0 (_GAPS, in 90ths) as the rows of a table, and each term
+# reads its row _TERM_GAPS and scales it by _TERM_LEAD + h _TERM_WEIGHTS.
+_TERMS = []
+_STAGES = []  # the slice of _TERMS of stage i = 1..6
+for _i in range(1, 7):
+    _STAGES.append(slice(len(_TERMS), len(_TERMS) + _i + 1))
+    _TERMS += [(_i, None, 1.0), *((_i, j, a) for j, a in enumerate(_A[_i]))]
+_ERROR_TERMS = slice(len(_TERMS), None)
+_TERMS += [(6, j, e) for j, e in enumerate(_E)]
+_TERM_GAP_90 = [_NODES[i] - (0 if j is None else _NODES[j])
+                for i, j, _ in _TERMS]
+_GAPS = sorted(set(_TERM_GAP_90))
+_GAP_NODES = np.array(_GAPS) / 90.0
+_TERM_GAPS = np.array([_GAPS.index(g) for g in _TERM_GAP_90])
+_TERM_LEAD = np.array([[float(j is None)] for _, j, _ in _TERMS])
+_TERM_WEIGHTS = np.array([[0.0 if j is None else w] for _, j, w in _TERMS])
+del _i
 
 
 @dataclass(frozen=True)
@@ -54,6 +120,11 @@ class FdConfig:
         check_power(self.p)
         if not (self.horizon > 0 and math.isfinite(self.horizon)):
             raise ValueError("horizon must be finite and positive")
+        if not (0.0 < self.rtol < 1.0 and 0.0 < self.atol < 1.0):
+            raise ValueError("rtol and atol must lie in (0, 1)")
+        if not self.blowup_threshold > self.A * math.sqrt(2.0 / math.pi):
+            raise ValueError("blowup_threshold must exceed the datum's "
+                             "max-norm A sqrt(2/pi)")
 
     @property
     def spacing(self) -> float:
@@ -64,27 +135,38 @@ class FdConfig:
         return self.spacing * np.arange(1, self.N + 1)
 
 
-def semidiscrete_rhs(N: int, p: int):
-    """Right-hand side of the N-point method-of-lines system."""
+@lru_cache(maxsize=None)
+def _sine_modes(N: int):
+    """The odd sine modes on the half grid of N interior points, as
+    read-only arrays ``(S, weights, lam)``: with M = ceil(N/2),
+    S[i, j] = sin(k_j x_{i+1}) for k_j = 2j + 1, so ``S @ c`` maps mode
+    coefficients to the half grid and ``(weights * u) @ S`` maps a
+    symmetric grid function back (the discrete sine transform on N
+    points, each half-grid point standing for itself and its mirror);
+    ``lam`` holds the stencil's eigenvalues -(4/h^2) sin^2(k_j h/2)."""
+    M = (N + 1) // 2
+    k = np.arange(1, 2 * M, 2)
+    # sin(pi i k/(N+1)) takes the 2(N+1) values of a table, indexed by
+    # i k mod 2(N+1); built row by row, so no M x M temporary is made
+    table = np.sin(math.pi / (N + 1) * np.arange(2 * N + 2))
+    S = np.empty((M, M))
+    for i in range(1, M + 1):
+        table.take(i * k % (2 * N + 2), out=S[i - 1])
+    weights = np.full(M, 4.0 / (N + 1))
+    if N % 2:
+        weights[-1] = 2.0 / (N + 1)
     h = math.pi / (N + 1)
-    inv_h2 = 1.0 / (h * h)
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        # (-2 y_i + y_{i-1}) + y_{i+1}: the sums of y_{i-1} - 2 y_i + y_{i+1}
-        # in their order, with zero Dirichlet values past both ends
-        lap = -2.0 * y
-        lap[1:] += y[:-1]
-        lap[:-1] += y[1:]
-        lap *= inv_h2
-        lap += y**p
-        return lap
-
-    return rhs
+    lam = -4.0 / (h * h) * np.sin(0.5 * h * k) ** 2
+    for a in (S, weights, lam):
+        a.flags.writeable = False
+    return S, weights, lam
 
 
 @dataclass(frozen=True)
 class FdRun:
-    """Outcome of a single grid resolution."""
+    """Outcome of a single grid resolution: the accepted-step grid, max |u|
+    and the smallest value of u at each grid time, and the counters of
+    the run (``rhs_calls`` counts evaluations of the reaction term)."""
 
     config: FdConfig
     kind: str
@@ -92,42 +174,139 @@ class FdRun:
     times: np.ndarray
     max_norms: np.ndarray
     min_value: float  # most negative sampled value across accepted steps
+    stats: ode.IvpStats
 
     @property
     def blew_up(self) -> bool:
         return self.kind == ode.BLOW_UP
 
 
-def _mol_spec(config: FdConfig) -> ode.IvpSpec:
-    """Method-of-lines IVP of a configuration, from A s_1 on the grid."""
-    return ode.IvpSpec(
-        rhs=semidiscrete_rhs(config.N, config.p),
-        y0=config.A * math.sqrt(2.0 / math.pi) * np.sin(config.grid),
-        t0=0.0,
-        horizon=config.horizon,
-        rtol=config.rtol,
-        atol=config.atol,
-        blowup_threshold=config.blowup_threshold,
-    )
+def _escape_time(S, lam, threshold: float, start, end) -> float:
+    """The time at which max |u| reaches ``threshold`` on the step from
+    ``start`` to ``end``, each (t, u, coefficients, reaction coefficients),
+    bisected by :func:`ode._bisect` on the cubic Hermite interpolant of u
+    and u' = S (lam c + f) at the two ends."""
+    (t0, u0, c0, f0), (t1, u1, c1, f1) = start, end
+    h = t1 - t0
+    d0 = h * (S @ (lam * c0 + f0))
+    d1 = h * (S @ (lam * c1 + f1))
+    du = u1 - u0
+    a2 = 3.0 * du - 2.0 * d0 - d1
+    a3 = d0 + d1 - 2.0 * du
+    return ode._bisect(t0, t1, lambda x: np.abs(
+        u0 + x * (d0 + x * (a2 + x * a3))).max() >= threshold)
+
+
+def _march(config: FdConfig):
+    """One Lawson-DP5 run of a configuration to its horizon or escape.
+
+    Returns the :class:`FdRun` and the final state on the half grid. The
+    run ends at the horizon, on the accepted step that carries max |u|
+    past the threshold (a blow-up at the escape located inside it), or
+    when the step falls below 1e-12 times the horizon: a blow-up, or a
+    domain exit if the reaction term stopped being finite while the
+    state was moderate. An attempt with a non-finite stage is retried on
+    a quarter of the step, with numpy's overflow warnings silenced.
+    """
+    S, weights, lam = _sine_modes(config.N)
+    p, threshold, horizon = config.p, config.blowup_threshold, config.horizon
+    rtol, atol = config.rtol, config.atol
+    min_step = 1e-12 * horizon
+    M = lam.size
+
+    def reaction(c):
+        u = S @ c
+        return u, (weights * u**p) @ S
+
+    rows = np.zeros((8, M))
+    rows[0, 0] = config.A * math.sqrt(2.0 / math.pi)
+    u, rows[1] = reaction(rows[0])
+    abs_u = np.abs(u)
+    t = 0.0
+    times = [t]
+    norms = [abs_u.max()]
+    minima = [u.min()]
+    nfev = 1
+    rejected = retries = 0
+    saw_nonfinite = False
+    h_prev = err_prev = 0.0
+
+    def finish(kind, t_end, termination, state):
+        grid = np.asarray(times)
+        stats = ode.IvpStats.of_grid(grid, termination, rejected, nfev,
+                                     retries)
+        run = FdRun(config=config, kind=kind,
+                    estimate=t_end if kind == ode.BLOW_UP else math.inf,
+                    times=grid, max_norms=np.array(norms),
+                    min_value=float(min(minima)), stats=stats)
+        return run, state
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the reaction part sets the first step: the factor carries the
+        # diffusion exactly
+        h = ode._initial_step(lambda t, y: y**p, t, u, u**p, rtol, atol,
+                              horizon)
+        nfev += 1
+        for _ in range(ode._MAX_STEPS):
+            if t >= horizon:
+                return finish(ode.REACHED_HORIZON, horizon, ode.HORIZON, u)
+            last = t + h >= horizon
+            if last:
+                h = horizon - t
+            if h < min_step:
+                if saw_nonfinite and abs_u.max() <= 0.5 * threshold:
+                    return finish(ode.DOMAIN_EXIT, t, ode.NONFINITE, u)
+                return finish(ode.BLOW_UP, t, ode.MIN_STEP_COLLAPSE, u)
+
+            factors = np.exp(np.multiply.outer(h * _GAP_NODES, lam))
+            terms = factors[_TERM_GAPS]
+            terms *= _TERM_LEAD + h * _TERM_WEIGHTS
+            for i, used in enumerate(_STAGES, start=1):
+                c_new = np.einsum("jm,jm->m", terms[used], rows[:i + 1])
+                u_new, rows[i + 1] = reaction(c_new)
+            nfev += 6
+            abs_new = np.abs(u_new)
+            scaled = S @ np.einsum("jm,jm->m", terms[_ERROR_TERMS], rows[1:])
+            scaled /= atol + rtol * np.maximum(abs_u, abs_new)
+            # a non-finite stage spreads to every later one and to err
+            err = math.sqrt(float(ode._sum(scaled * scaled)) / M)
+            if not math.isfinite(err):
+                saw_nonfinite = True
+                retries += 1
+                h *= 0.25
+                continue
+            if err > 1.0:
+                rejected += 1
+                h = ode._next_step(h, err, h_prev, err_prev, _ORDER_EXP)
+                continue
+
+            t_new = horizon if last else t + h
+            m_new = abs_new.max()
+            times.append(t_new)
+            norms.append(m_new)
+            minima.append(u_new.min())
+            if m_new > threshold:
+                t_esc = _escape_time(S, lam, threshold, (t, u, *rows[:2]),
+                                     (t_new, u_new, c_new, rows[7]))
+                return finish(ode.BLOW_UP, t_esc, ode.THRESHOLD_ESCAPE, u_new)
+            t, u, abs_u = t_new, u_new, abs_new
+            rows[0] = c_new
+            rows[1] = rows[7]
+            saw_nonfinite = False
+            h_new = ode._next_step(h, err, h_prev, err_prev, _ORDER_EXP)
+            h_prev, err_prev, h = h, err, h_new
+    raise StepBudgetError(ode._MAX_STEPS)
 
 
 def fd_single_run(config: FdConfig) -> FdRun:
-    """One method-of-lines run, kept without its step history."""
-    outcome = ode.integrate(replace(_mol_spec(config), dense_output=False))
-    if outcome.kind == ode.DOMAIN_EXIT:
+    """One method-of-lines run of a configuration (:func:`_march`)."""
+    run, _ = _march(config)
+    if run.kind == ode.DOMAIN_EXIT:
         raise GridDisagreementError(
-            f"semidiscrete run left the domain at t={outcome.t_end} "
+            f"semidiscrete run left the domain at t={run.times[-1]} "
             f"(N={config.N}, A={config.A})"
         )
-    estimate = outcome.t_end if outcome.kind == ode.BLOW_UP else math.inf
-    return FdRun(
-        config=config,
-        kind=outcome.kind,
-        estimate=estimate,
-        times=outcome.times,
-        max_norms=outcome.max_norms,
-        min_value=float(np.min(outcome.minima)),
-    )
+    return run
 
 
 @dataclass(frozen=True)
@@ -216,24 +395,22 @@ def limit_profile_check(A_large: float, rescaled_time: float,
                         N: int = 256, rtol: float = 1e-8,
                         atol: float = 1e-10) -> float:
     """Max-norm deviation between the fd solution at time t = tau/A,
-    rescaled by 1/A, and the closed-form limit profile at tau."""
+    rescaled by 1/A, and the closed-form limit profile at tau. The run
+    ends exactly at tau/A; u and the profile are symmetric about pi/2,
+    so they are compared on the half grid."""
     c = math.sqrt(2.0 / math.pi)
     if not 0.0 <= rescaled_time < 1.0 / c:
         raise ValueError("rescaled time must lie in [0, sqrt(pi/2))")
-    config = FdConfig(
-        A=A_large, N=N, horizon=rescaled_time / A_large + 1e-12,
-        rtol=rtol, atol=atol,
-    )
-    spec = _mol_spec(config)
-    state = spec.y0
+    config = FdConfig(A=A_large, N=N, rtol=rtol, atol=atol)
+    S = _sine_modes(N)[0]
+    state = A_large * c * S[:, 0]
     if rescaled_time > 0.0:
-        outcome = ode.integrate(spec)
-        if outcome.kind != ode.REACHED_HORIZON:
+        run, state = _march(replace(config, horizon=rescaled_time / A_large))
+        if run.kind != ode.REACHED_HORIZON:
             raise GridDisagreementError(
-                f"fd run ended with {outcome.kind} before the comparison time"
+                f"fd run ended with {run.kind} before the comparison time"
             )
-        state = outcome.interpolate(rescaled_time / A_large)
-    profile = limit_profile(rescaled_time, config.grid)
+    profile = limit_profile(rescaled_time, config.grid[:S.shape[0]])
     return float(np.max(np.abs(state / A_large - profile)))
 
 

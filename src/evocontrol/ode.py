@@ -5,6 +5,10 @@ Dormand-Prince 8(5,3) pair of DOP853 (Hairer, Norsett & Wanner, Solving
 ODEs I, II.5-II.6): an 8th-order advancing solution, Hairer's combined
 5th/3rd-order error estimate, Gustafsson's predictive step-size control
 (Hairer & Wanner, Solving ODEs II, IV.8) and a 7th-order dense output.
+It integrates the package's non-stiff systems; the stiff finite-difference
+reference steps on its own Lawson engine in :mod:`evocontrol.fd`, which
+shares the controller :func:`_next_step`, the first-step guess
+:func:`_initial_step` and :func:`_bisect`.
 Every run is classified into one of four outcomes:
 
 * ``reached_horizon`` : the trajectory exists on the whole time window;
@@ -22,8 +26,8 @@ Every run is classified into one of four outcomes:
 Each outcome carries an :class:`IvpStats` record: step and RHS-call
 counters, the step-size range and the termination reason, which tells
 a threshold escape from a min-step collapse. Every outcome keeps its
-grid and max |y| and min y per step; the accepted states and
-derivatives only when the spec asks for ``dense_output``.
+grid and the accepted states and derivatives, the history its dense
+output recomputes steps from.
 
 A right-hand side takes the layout of scipy's ``solve_ivp(vectorized=True)``:
 it maps a state of shape (n,) at a float time to shape (n,) while
@@ -45,13 +49,12 @@ reproducible CSV output.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import HistoryError, OutOfDomainError, StepBudgetError
+from .errors import OutOfDomainError, StepBudgetError
 
 # rhs(t, y): (n,) states at float times, or (n, S) columns at (S,) times
 Rhs = Callable[[float | np.ndarray, np.ndarray], np.ndarray]
@@ -222,11 +225,7 @@ class IvpSpec:
     accepted step below it is treated as a finite-time singularity.
     ``stop(t, y)``, when given, is asked after each accepted step that
     did not escape, with the step's end time and state; when it returns
-    true, the run ends there as ``stopped``. ``dense_output`` keeps every
-    accepted state and derivative, which :meth:`IvpOutcome.interpolate`
-    needs; without it the run keeps its grid, its per-step series and
-    its last state and derivative, O(n + steps) memory instead of
-    O(n * steps).
+    true, the run ends there as ``stopped``.
     """
 
     rhs: Rhs
@@ -237,7 +236,6 @@ class IvpSpec:
     atol: float = 1e-12
     blowup_threshold: float = 1e8
     stop: Callable[[float, np.ndarray], bool] | None = None
-    dense_output: bool = True
 
     def __post_init__(self):
         self.y0 = np.asarray(self.y0, dtype=float)
@@ -288,17 +286,27 @@ class IvpStats:
     h_max: float
     termination: str
 
+    @classmethod
+    def of_grid(cls, grid: np.ndarray, termination: str, rejected: int,
+                rhs_calls: int, nonfinite_retries: int) -> IvpStats:
+        """The counters of a run whose accepted-step grid is ``grid``."""
+        steps = np.diff(grid)
+        return cls(accepted=steps.size, rejected=rejected,
+                   rhs_calls=rhs_calls, nonfinite_retries=nonfinite_retries,
+                   h_min=float(steps.min()) if steps.size else math.nan,
+                   h_max=float(steps.max()) if steps.size else math.nan,
+                   termination=termination)
+
 
 @dataclass(frozen=True, eq=False)
 class IvpOutcome:
     """Result of :func:`integrate`.
 
-    ``times`` is the grid of accepted steps; ``max_norms`` and ``minima``
-    hold max |y| and min y at each grid time. ``states`` and ``derivs``
-    are the state and derivative rows, one per grid time with
-    ``dense_output`` and the last of each without. A threshold escape
-    ends on its escaping step, so the last state is the only one past
-    the threshold, and ``t_end`` is the escape located inside that step.
+    ``times`` is the grid of accepted steps; ``states`` and ``derivs``
+    are the state and derivative rows, one per grid time. A threshold
+    escape ends on its escaping step, so the last state is the only one
+    past the threshold, and ``t_end`` is the escape located inside that
+    step.
     The outcome doubles as a dense-output object via :meth:`interpolate`,
     and :meth:`crossing` locates where the last component reaches a
     level; ``stats`` holds the run's counters. Outcomes compare by
@@ -308,8 +316,6 @@ class IvpOutcome:
     kind: str
     t_end: float
     times: np.ndarray
-    max_norms: np.ndarray = field(repr=False)
-    minima: np.ndarray = field(repr=False)
     states: list = field(repr=False)
     derivs: list = field(repr=False)
     spec: IvpSpec = field(repr=False)
@@ -329,12 +335,8 @@ class IvpOutcome:
         of :class:`IvpSpec`) in chunks whose stage buffer stays within
         ``_DENSE_BYTES``, so the outcome stores nothing beyond its step
         history. An outcome without an accepted step returns its one
-        sample. Raises :class:`HistoryError` when the spec did not ask
-        for ``dense_output``.
+        sample.
         """
-        if not self.spec.dense_output:
-            raise HistoryError("the run kept no step history to interpolate "
-                               "(dense_output=False)")
         tq = np.atleast_1d(np.asarray(t, dtype=float))
         times = self.times
         lo, hi = times[0], times[-1]
@@ -365,11 +367,7 @@ class IvpOutcome:
         """A time in the last step, which starts above ``level`` and ends
         at or below it, at which the last component of the state reaches
         it, bisected by :func:`_bisect` on that step's dense output in
-        float arithmetic. Raises :class:`HistoryError` when the spec did
-        not ask for ``dense_output``."""
-        if not self.spec.dense_output:
-            raise HistoryError("the run kept no step history to locate a "
-                               "crossing (dense_output=False)")
+        float arithmetic."""
         start, end = zip(self.times[-2:].tolist(), self.states[-2:],
                          self.derivs[-2:])
         coeffs = _step_coefficients(self.spec.rhs, start, end)[:, -1].tolist()
@@ -396,6 +394,29 @@ def _bisect(t0: float, t1: float, reached: Callable[[float], bool]) -> float:
         else:
             lo = t
     return hi
+
+
+def _next_step(h: float, err: float, h_prev: float, err_prev: float,
+               exponent: float) -> float:
+    """The step after an attempt of size ``h`` with error norm ``err``,
+    for a method whose advancing order is 1/``exponent``. A rejected
+    attempt (err > 1) shrinks by _SAFETY err^-exponent, at most by
+    _FACTOR_MIN. An accepted one is scaled by that factor within
+    [_FACTOR_MIN, _FACTOR_MAX], damped by Gustafsson's factor when the
+    error rose since the previous accepted step ``h_prev`` with error
+    ``err_prev`` (0 before the first)."""
+    if err > 1.0:
+        return h * min(1.0, max(_FACTOR_MIN, _SAFETY * err ** -exponent))
+    if err > 0.0:
+        factor = _SAFETY * err ** -exponent
+        if err_prev > 0.0:
+            # Gustafsson: damp the growth when the error rose over the
+            # last two steps
+            factor = min(factor, factor * (h / h_prev)
+                         * (err_prev / err) ** exponent)
+    else:
+        factor = _FACTOR_MAX
+    return h * min(_FACTOR_MAX, max(_FACTOR_MIN, factor))
 
 
 def _error_norm(stages, h: float, abs_old: np.ndarray, abs_new: np.ndarray,
@@ -536,11 +557,10 @@ def _escape_time(rhs: Rhs, threshold: float, start, end) -> float:
 def integrate(spec: IvpSpec) -> IvpOutcome:
     """Integrate an initial value problem and classify the outcome.
 
-    Accepted steps are appended to the grid, the per-step series and,
-    with ``dense_output``, the state and derivative lists as they
-    happen; the run ends at the horizon, at a blow-up, at a domain exit,
-    or at the first accepted step, not escaping, whose end satisfies
-    ``spec.stop``.
+    Accepted steps are appended to the grid and the state and
+    derivative lists as they happen; the run ends at the horizon, at a
+    blow-up, at a domain exit, or at the first accepted step, not
+    escaping, whose end satisfies ``spec.stop``.
     The threshold and ``stop`` are tested only at the ends of accepted
     steps, so a max-norm that crosses the threshold and falls back within
     one step is not seen. An accepted step that carries the max-norm past
@@ -561,12 +581,8 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
 
     abs_y = np.abs(y)
     times = [t]
-    # raw doubles, so the series hold no Python object per step
-    norms = array("d", [abs_y.max()])
-    minima = array("d", [y.min()])
     states = [y]
     derivs = [f]
-    keep = spec.dense_output
 
     horizon = spec.horizon
     stop = spec.stop
@@ -582,25 +598,15 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
 
     def _finish(kind: str, t_end: float, termination: str) -> IvpOutcome:
         grid = np.asarray(times)
-        steps = np.diff(grid)
         return IvpOutcome(
             kind=kind,
             t_end=float(t_end),
             times=grid,
-            max_norms=np.array(norms),
-            minima=np.array(minima),
-            states=states if keep else [y],
-            derivs=derivs if keep else [f],
+            states=states,
+            derivs=derivs,
             spec=spec,
-            stats=IvpStats(
-                accepted=steps.size,
-                rejected=rejected,
-                rhs_calls=nfev,
-                nonfinite_retries=retries,
-                h_min=float(steps.min()) if steps.size else math.nan,
-                h_max=float(steps.max()) if steps.size else math.nan,
-                termination=termination,
-            ),
+            stats=IvpStats.of_grid(grid, termination, rejected, nfev,
+                                   retries),
         )
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -641,11 +647,8 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
                 t, y, f = horizon if clamped else t + h, y_new, f_new.copy()
                 abs_y = abs_new
                 times.append(t)
-                norms.append(m_new)
-                minima.append(y.min())
-                if keep:
-                    states.append(y)
-                    derivs.append(f)
+                states.append(y)
+                derivs.append(f)
                 if m_new > threshold:
                     nfev += len(_DENSE_STAGES)
                     t_esc = _escape_time(rhs, threshold, start, (t, y, f))
@@ -653,20 +656,10 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
                 if stop is not None and stop(t, y):
                     return _finish(STOPPED, t, STOPPED)
                 saw_nonfinite = False
-                if err > 0.0:
-                    factor = _SAFETY * err ** -_ORDER_EXP
-                    if err_prev > 0.0:
-                        # Gustafsson: damp the growth when the error rose
-                        # over the last two steps
-                        factor = min(factor, factor * (h / h_prev)
-                                     * (err_prev / err) ** _ORDER_EXP)
-                else:
-                    factor = _FACTOR_MAX
-                h_prev, err_prev = h, err
-                h *= min(_FACTOR_MAX, max(_FACTOR_MIN, factor))
+                h_new = _next_step(h, err, h_prev, err_prev, _ORDER_EXP)
+                h_prev, err_prev, h = h, err, h_new
             else:
                 rejected += 1
-                factor = _SAFETY * err ** -_ORDER_EXP
-                h *= min(1.0, max(_FACTOR_MIN, factor))
+                h = _next_step(h, err, h_prev, err_prev, _ORDER_EXP)
     raise StepBudgetError(_MAX_STEPS)
 

@@ -25,68 +25,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import quadrature as qd
 from .records import SPEC_VERSION
 
-_SERIES_SWITCH = 0.2
-_SERIES_TERMS = 28
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # algebra_property_test: modes 1.._MAX_DEGREE per random sine polynomial,
 # and the slack of ||fg|| <= (1 + ALGEBRA_TOLERANCE) ||f|| ||g||
 _MAX_DEGREE = 8
 ALGEBRA_TOLERANCE = 1e-12
 _BLOCK = 1024  # trials per array block of algebra_property_test
-
-
-# ---------------------------------------------------------------------------
-# the kink family: closed forms
-
-
-def _exp_binom_integral(j: int, m: int, lam: float) -> float:
-    """int_0^{pi/2} (e^{lam v} - 1)^j e^{m lam v} dv.
-
-    The binomial expansion cancels catastrophically for small lam, so a
-    truncated power series in v takes over below the switch point.
-    """
-    half = math.pi / 2.0
-    if lam >= _SERIES_SWITCH:
-        total = 0.0
-        for i in range(j + 1):
-            n = i + m
-            term = half if n == 0 else math.expm1(n * lam * half) / (n * lam)
-            total += math.comb(j, i) * (-1.0) ** (j - i) * term
-        return total
-    base = np.array(
-        [0.0] + [lam**n / math.factorial(n) for n in range(1, _SERIES_TERMS)]
-    )
-    expm = np.array(
-        [(m * lam) ** n / math.factorial(n) for n in range(_SERIES_TERMS)]
-    )
-    poly = npoly.polymul(npoly.polypow(base, j) if j else [1.0], expm)
-    degrees = np.arange(len(poly), dtype=float)
-    return float(np.sum(poly * half ** (degrees + 1) / (degrees + 1)))
-
-
-def closed_norm_sq(lam: float) -> float:
-    """||f_lam||^2 in closed form (both integrals elementary)."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    c2 = math.exp(-lam * math.pi)
-    l2_part = 2.0 * c2 * _exp_binom_integral(2, 0, lam)
-    deriv_part = 2.0 * lam * lam * c2 * _exp_binom_integral(0, 2, lam)
-    return l2_part + deriv_part
-
-
-def closed_square_norm_sq(lam: float) -> float:
-    """||f_lam^2||^2 in closed form."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    c4 = math.exp(-2.0 * lam * math.pi)
-    l2_part = 2.0 * c4 * _exp_binom_integral(4, 0, lam)
-    deriv_part = 8.0 * lam * lam * c4 * _exp_binom_integral(2, 2, lam)
-    return l2_part + deriv_part
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,16 @@ def test_fd_profile_needs_the_quadratic_power(tmp_path, capsys):
     assert not (tmp_path / "fd.json").exists()
 
 
+def test_fd_rejects_bad_tolerances_and_threshold(tmp_path, capsys):
+    # FdConfig checks what the run needs before any run starts
+    for flags in (["--rtol", "2"], ["--atol", "0"],
+                  ["--A", "10", "--blowup-threshold", "5"]):
+        code = _run(["fd", *flags, "--out", str(tmp_path)])
+        assert code == cli.EXIT_NUMERIC == 3
+        assert "numeric failure" in capsys.readouterr().err
+    assert not (tmp_path / "fd.json").exists()
+
+
 def test_fd_profile_uses_the_run_tolerances(tmp_path, monkeypatch):
     seen = []
 

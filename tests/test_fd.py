@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from evocontrol import control, fd, heat
+from evocontrol import control, fd, heat, ode
 from evocontrol.errors import GridDisagreementError
+from test_ode import mol_spec, semidiscrete_rhs
 
 
 def test_stencil_diagonalizes_on_discrete_sines():
@@ -16,7 +17,7 @@ def test_stencil_diagonalizes_on_discrete_sines():
     N, p = 127, 2
     h = math.pi / (N + 1)
     x = h * np.arange(1, N + 1)
-    rhs = fd.semidiscrete_rhs(N, p)
+    rhs = semidiscrete_rhs(N, p)
     for k in (1, 2, 5, 17):
         y = np.sin(k * x)
         linear = rhs(0.0, y) - y**p
@@ -38,9 +39,11 @@ def test_blowup_estimate_sits_between_certified_bounds():
 
 
 def test_single_run_keeps_no_step_history():
-    # the run keeps its grid and per-step series, not its states and
-    # derivatives: the fine A=10 run of the reference (2,366 steps on 512
-    # points) would hold 19.4 MB of rows; it peaks at about 0.3 MB
+    # the run keeps its grid and per-step series, not its states: the
+    # fine A=10 run of the reference, about 500 steps on 512 points
+    # (2,366 for explicit DOP853, held at the stencil's stability limit),
+    # peaks at about 0.8 MB when it builds its 512 KB sine matrix and
+    # 0.3 MB when the matrix is cached
     fd.fd_single_run(fd.FdConfig(A=100.0, N=64))
     tracemalloc.start()
     try:
@@ -48,7 +51,8 @@ def test_single_run_keeps_no_step_history():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(run.times) - 1 >= 2000
+    assert len(run.times) - 1 == run.stats.accepted <= 600
+    assert run.stats.rejected <= 0.1 * run.stats.accepted
     assert peak <= 2e6
 
 
@@ -56,6 +60,13 @@ def test_small_datum_reaches_horizon():
     est = fd.fd_blowup_time(fd.FdConfig(A=0.5, N=64, horizon=2.0))
     assert math.isinf(est.value)
     assert not est.coarse.blew_up
+    # the integrating factor takes the diffusion exactly, so the step is
+    # set by accuracy, not by the stencil's stability limit: 256 and 363
+    # steps on 64 and 128 points, where explicit DOP853 takes 534 and
+    # 2,108
+    for run in (est.coarse, est.fine):
+        assert run.stats.termination == ode.HORIZON
+        assert run.stats.accepted <= 400
     d = est.to_dict()
     assert d["estimate"] is None and d["estimate_infinite"] is True
 
@@ -89,6 +100,16 @@ def test_profile_preconditions():
 def test_config_validation():
     with pytest.raises(ValueError):
         fd.FdConfig(A=1.0, N=32)
+    for tol in (0.0, 1.0, 2.0, math.nan):
+        for field in ("rtol", "atol"):
+            with pytest.raises(ValueError, match="rtol and atol"):
+                fd.FdConfig(A=1.0, **{field: tol})
+    # the threshold must exceed the datum's max-norm A sqrt(2/pi)
+    with pytest.raises(ValueError, match="blowup_threshold"):
+        fd.FdConfig(A=10.0, blowup_threshold=7.9)
+    with pytest.raises(ValueError, match="blowup_threshold"):
+        fd.FdConfig(A=1.0, blowup_threshold=math.nan)
+    fd.FdConfig(A=10.0, blowup_threshold=8.0)
     with pytest.raises(ValueError):
         fd.FdConfig(A=-1.0)
     with pytest.raises(ValueError):
@@ -115,3 +136,86 @@ def test_norms_csv_roundtrip(tmp_path):
     t0, m0 = lines[1].split(",")
     assert float(t0) == 0.0
     assert abs(float(m0) - est.coarse.max_norms[0]) <= 1e-15
+
+
+@pytest.mark.parametrize("N", [64, 65, 127, 256])
+def test_half_grid_transforms_reproduce_the_stencil(N):
+    # on a state symmetric about pi/2, S (lam c + (w u^p) @ S) with
+    # c = (w u) @ S is the full-grid method of lines on the half grid,
+    # at odd N (middle point weighed once) and at even N
+    S, weights, lam = fd._sine_modes(N)
+    M = (N + 1) // 2
+    assert S.shape == (M, M) and not S.flags.writeable
+    half = np.random.default_rng(N).uniform(-2.0, 2.0, size=M)
+    full = np.concatenate([half, half[: N // 2][::-1]])
+    expected = semidiscrete_rhs(N, 3)(0.0, full)
+    coeffs = (weights * half) @ S
+    assert np.max(np.abs(S @ coeffs - half)) <= 1e-13
+    got = S @ (lam * coeffs + (weights * half**3) @ S)
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(got - expected[:M])) <= 1e-12 * scale
+    assert fd._sine_modes(N) is fd._sine_modes(N)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_single_run_matches_the_full_grid_dop853_run(p):
+    # the Lawson run on the odd modes against DOP853 on the full grid:
+    # 3.4e-10 (p = 2) and 2.4e-10 (p = 3) relative
+    config = fd.FdConfig(A=20.0, p=p, N=64)
+    run = fd.fd_single_run(config)
+    replay = ode.integrate(mol_spec(config))
+    assert run.kind == replay.kind == ode.BLOW_UP
+    assert abs(run.estimate - replay.t_end) <= 1e-8 * replay.t_end
+
+
+def _growing_factors(nodes, rows):
+    """The (i, j) of a tableau whose Lawson form multiplies stage j into
+    stage i by e^{(c_i - c_j) h Lambda} with c_j > c_i, a factor that
+    grows without bound on stiff modes."""
+    return [(i, j) for i, row in enumerate(rows) for j, a in enumerate(row)
+            if a != 0.0 and nodes[j] > nodes[i]]
+
+
+def test_lawson_factors_never_grow():
+    nodes = [n / 90 for n in fd._NODES]
+    # the error weights act at the advanced state, node 1
+    rows = [*fd._A, fd._E]
+    assert _growing_factors(nodes + [1.0], rows) == []
+    # the engine's terms are the tableau's rows, each stage led by the
+    # start coefficients (node 0), and every gap it exponentiates is >= 0
+    for i, used in enumerate(fd._STAGES, start=1):
+        lead, *terms = fd._TERMS[used]
+        assert lead == (i, None, 1.0)
+        assert [(j, w) for _, j, w in terms] == list(enumerate(fd._A[i]))
+    assert [w for *_, w in fd._TERMS[fd._ERROR_TERMS]] == list(fd._E)
+    for (i, j, _), gap in zip(fd._TERMS, fd._TERM_GAPS):
+        assert fd._GAPS[gap] == fd._NODES[i] - (0 if j is None
+                                                else fd._NODES[j]) >= 0
+    # DOP853's nodes are not monotone: a_64, a_65, a_75 and a_98 of its
+    # stepping stages 0-12 would grow
+    assert _growing_factors(ode._C, ode._A[:13]) == [(6, 4), (6, 5), (7, 5),
+                                                     (9, 8)]
+
+
+def test_dormand_prince_tableau():
+    # the row sums are the nodes, and the 5th- and 4th-order weights meet
+    # the quadrature conditions sum b_j c_j^q = 1/(q+1) up to their order
+    c = np.array(fd._NODES) / 90
+    for i, row in enumerate(fd._A):
+        assert abs(sum(row) - c[i]) <= 1e-15
+    b = np.array(fd._A[6] + (0.0,))
+    b4 = b - np.array(fd._E)
+    for q in range(5):
+        assert abs(b @ c**q - 1 / (q + 1)) <= 1e-15
+        if q < 4:
+            assert abs(b4 @ c**q - 1 / (q + 1)) <= 1e-15
+    assert abs(b4 @ c**4 - 0.2) > 1e-4
+
+
+def test_no_fd_run_calls_the_dop853_engine(monkeypatch):
+    def refuse(spec):
+        raise AssertionError("an FD run called ode.integrate")
+
+    monkeypatch.setattr(ode, "integrate", refuse)
+    assert fd.fd_blowup_time(fd.FdConfig(A=20.0, N=64)).coarse.blew_up
+    assert fd.limit_profile_check(100.0, 0.6, N=64) <= 0.05

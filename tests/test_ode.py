@@ -11,10 +11,48 @@ import pytest
 from evocontrol import control, fd, galerkin, heat, kaplan, ode
 from evocontrol.errors import (
     EvocontrolError,
-    HistoryError,
     OutOfDomainError,
     StepBudgetError,
 )
+
+
+def semidiscrete_rhs(N: int, p: int):
+    """Right-hand side of the N-point method-of-lines system of the
+    reaction problem: the three-point stencil on x_i = i pi/(N+1) plus
+    y^p. Integrated by DOP853, it is the engine's stiff test problem and
+    the full-grid reference of the FD module's own engine."""
+    h = math.pi / (N + 1)
+    inv_h2 = 1.0 / (h * h)
+
+    def rhs(t, y):
+        # (-2 y_i + y_{i-1}) + y_{i+1}: the sums of y_{i-1} - 2 y_i + y_{i+1}
+        # in their order, with zero Dirichlet values past both ends
+        lap = -2.0 * y
+        lap[1:] += y[:-1]
+        lap[:-1] += y[1:]
+        lap *= inv_h2
+        lap += y**p
+        return lap
+
+    return rhs
+
+
+def mol_spec(config: fd.FdConfig) -> ode.IvpSpec:
+    """The full-grid method-of-lines IVP of an FD configuration, from
+    A s_1 on the grid."""
+    return ode.IvpSpec(
+        rhs=semidiscrete_rhs(config.N, config.p),
+        y0=config.A * math.sqrt(2.0 / math.pi) * np.sin(config.grid),
+        t0=0.0,
+        horizon=config.horizon,
+        rtol=config.rtol,
+        atol=config.atol,
+        blowup_threshold=config.blowup_threshold,
+    )
+
+
+def _max_norms(outcome):
+    return np.max(np.abs(np.asarray(outcome.states)), axis=1)
 
 
 def _decay_spec(rate=2.0, y0=3.0, horizon=1.0, rtol=1e-10, atol=1e-12):
@@ -74,8 +112,9 @@ def test_escape_is_bracketed_tightly():
     )
     outcome = ode.integrate(spec)
     assert outcome.kind == ode.BLOW_UP
-    assert outcome.max_norms[-1] > 1e6
-    assert np.all(outcome.max_norms[:-1] <= 1e6)
+    norms = _max_norms(outcome)
+    assert norms[-1] > 1e6
+    assert np.all(norms[:-1] <= 1e6)
     # the run ends on the escaping step; near the pole the controller's
     # steps shrink with 1 - t, so that step is at most 5e-7 long
     assert outcome.times[-1] - outcome.times[-2] <= 5e-7
@@ -95,7 +134,7 @@ def test_threshold_escape_is_located(rhs, y0, threshold, t_cross):
     outcome = ode.integrate(_spec(counted, y0=y0, horizon=5.0,
                                   blowup_threshold=threshold))
     assert outcome.stats.termination == ode.THRESHOLD_ESCAPE
-    norms = outcome.max_norms
+    norms = _max_norms(outcome)
     assert norms[-1] > threshold and np.all(norms[:-1] <= threshold)
     assert outcome.times[-2] < outcome.t_end <= outcome.times[-1]
     assert abs(outcome.t_end - t_cross) <= 1e-9
@@ -303,7 +342,7 @@ def _package_rhs_cases():
         for factor in (1.0, 0.0):
             cases.append((f"coupled {modes} x{factor}",
                           heat._coupled_rhs(model, factor), y))
-    cases.append(("fd N=64", fd.semidiscrete_rhs(64, 2),
+    cases.append(("fd N=64", semidiscrete_rhs(64, 2),
                   rng.normal(size=(64, 5))))
     for p in (2, 3, 4):
         spec = kaplan._comparison_spec(2.0, p, 1.0)
@@ -346,7 +385,7 @@ def _kaplan_outcome():
 
 
 def _fd_outcome():
-    return ode.integrate(fd._mol_spec(fd.FdConfig(A=20.0, N=64)))
+    return ode.integrate(mol_spec(fd.FdConfig(A=20.0, N=64)))
 
 
 @pytest.mark.parametrize("run", [_kaplan_outcome, _fd_outcome])
@@ -451,47 +490,6 @@ def test_interpolation_without_an_accepted_step():
         assert outcome.interpolate(np.zeros(3)).tolist() == [[1.0]] * 3
     with pytest.raises(OutOfDomainError):
         outcome.interpolate(0.1)
-
-
-def _assert_fd_run_matches_replay(run, replay):
-    """An FD run, which keeps no step history, against the replay of its
-    spec with the history kept: grid, max-norms, minimum and estimate
-    carry the same bits."""
-    assert run.times.tobytes() == replay.times.tobytes()
-    assert run.max_norms.tobytes() == replay.max_norms.tobytes()
-    assert run.min_value.hex() == float(np.min(replay.minima)).hex()
-    assert run.estimate.hex() == replay.t_end.hex()
-
-
-def test_history_reductions_match_the_stacked_states():
-    # max-norms and minima are the per-step series of the run; max and
-    # min are exact, so they carry the bits of the reductions of the
-    # stacked states
-    config = fd.FdConfig(A=20.0, N=64)
-    replay = ode.integrate(fd._mol_spec(config))
-    states = np.asarray(replay.states)
-    assert replay.final_state.tobytes() == states[-1].tobytes()
-    norms = np.max(np.abs(states), axis=1)
-    assert replay.max_norms.tobytes() == norms.tobytes()
-    assert replay.minima.tobytes() == np.min(states, axis=1).tobytes()
-    _assert_fd_run_matches_replay(fd.fd_single_run(config), replay)
-
-
-def test_a_run_without_history_keeps_its_last_sample():
-    spec = fd._mol_spec(fd.FdConfig(A=20.0, N=64))
-    full = ode.integrate(spec)
-    lean = ode.integrate(dataclasses.replace(spec, dense_output=False))
-    for a, b in ((full.times, lean.times),
-                 (full.max_norms, lean.max_norms),
-                 (full.minima, lean.minima),
-                 (full.final_state, lean.final_state),
-                 (full.derivs[-1], lean.derivs[-1])):
-        assert a.tobytes() == b.tobytes()
-    assert len(lean.states) == len(lean.derivs) == 1
-    assert lean.stats == full.stats
-    with pytest.raises(HistoryError):
-        lean.interpolate(0.5 * lean.t_end)
-    assert issubclass(HistoryError, EvocontrolError)
 
 
 def test_spec_validation():
@@ -771,17 +769,26 @@ def test_comparison_escape_error_budget(monkeypatch):
 
 
 def test_pinned_bits_fd_run(monkeypatch):
-    # the FD run keeps no step history, so the digest is taken on the
-    # replay of its spec with the history kept
+    # the stiff test problem, DOP853 on the full 64-point grid, and the FD
+    # module's own Lawson-DP5 run of the same configuration, which makes
+    # no integrate call; the two escape times agree to 3e-10 relative
     config = fd.FdConfig(A=20.0, N=64)
     replay, _, digest = _run_digest(
-        monkeypatch, lambda: ode.integrate(fd._mol_spec(config)))
-    run = fd.fd_single_run(config)
-    assert run.estimate.hex() == "0x1.109edc6bb31b1p-4"
-    assert len(run.times) - 1 == 49
-    _assert_fd_run_matches_replay(run, replay)
+        monkeypatch, lambda: ode.integrate(mol_spec(config)))
+    assert replay.t_end.hex() == "0x1.109edc6bb31b1p-4"
+    assert len(replay.times) - 1 == 49
     assert digest == (
         "5bc6f382fbabdb14d5888c0e048a9fadc5d3dc53e827e2550bae05789d1e2973")
+    run, outcomes, _ = _run_digest(monkeypatch,
+                                   lambda: fd.fd_single_run(config))
+    assert outcomes == []
+    assert run.estimate.hex() == "0x1.109edc6a2641cp-4"
+    assert run.stats.accepted == 152 and run.stats.rejected == 3
+    series = hashlib.sha256()
+    for a in (run.times, run.max_norms):
+        series.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    assert series.hexdigest() == (
+        "2ea942842a1a65de5a71a6007334879ed3da240c961a7db48dad47db057c26d8")
 
 
 def test_pinned_bits_critical_amplitude(monkeypatch):
