@@ -25,13 +25,16 @@ multiply stiff modes by factors up to e^{0.083 h |Lambda|}. The step
 size is therefore set by accuracy alone, not by the stencil's stability
 limit: the fine A=10 run takes about 500 steps where explicit DOP853
 took 2,366. The error is measured on the grid, as RMS of the embedded
-4th-order difference scaled by atol + rtol |u|, and ``ode``'s controller
-sets the next step. A threshold escape is located by bisection on the
-cubic Hermite interpolant of u and u' = S (Lambda u^ + N^) at the ends
-of the escaping step; DP5's continuous extension is not used, because
-in Lawson form its factors e^{(theta - c_j) h Lambda} grow wherever
-c_j > theta. At p = 2 the estimates agree with explicit DOP853 on the
-full grid to 1e-9 relative (A = 2 to 100, N = 256 and 512).
+4th-order difference scaled by atol + rtol |u|. The run steps through
+``ode``'s stepping loop, as DOP853 does, which owns the step control and
+the termination policy; this module supplies the attempt, the commit of
+an accepted step and the escape locator. A threshold escape is located
+by bisection on the cubic Hermite interpolant of u and
+u' = S (Lambda u^ + N^) at the ends of the escaping step; DP5's
+continuous extension is not used, because in Lawson form its factors
+e^{(theta - c_j) h Lambda} grow wherever c_j > theta. At p = 2 the
+estimates agree with explicit DOP853 on the full grid to 1e-9 relative
+(A = 2 to 100, N = 256 and 512).
 
 Each estimate is produced twice, on N and 2N interior points, and the
 two runs must agree within a stated relative tolerance before a value is
@@ -50,7 +53,7 @@ import numpy as np
 
 from . import ode
 from .control import check_power
-from .errors import GridDisagreementError, StepBudgetError
+from .errors import GridDisagreementError
 from .records import SPEC_VERSION, ext_pair, write_csv
 
 _AGREEMENT_RTOL = 0.02
@@ -201,17 +204,14 @@ def _march(config: FdConfig):
     """One Lawson-DP5 run of a configuration to its horizon or escape.
 
     Returns the :class:`FdRun` and the final state on the half grid. The
-    run ends at the horizon, on the accepted step that carries max |u|
+    run steps through :func:`ode._drive`, which ends it as it ends a
+    DOP853 run: at the horizon, on the accepted step that carries max |u|
     past the threshold (a blow-up at the escape located inside it), or
-    when the step falls below 1e-12 times the horizon: a blow-up, or a
-    domain exit if the reaction term stopped being finite while the
-    state was moderate. An attempt with a non-finite stage is retried on
-    a quarter of the step, with numpy's overflow warnings silenced.
+    when the step falls below 1e-12 times the horizon.
     """
     S, weights, lam = _sine_modes(config.N)
     p, threshold, horizon = config.p, config.blowup_threshold, config.horizon
     rtol, atol = config.rtol, config.atol
-    min_step = 1e-12 * horizon
     M = lam.size
 
     def reaction(c):
@@ -222,80 +222,52 @@ def _march(config: FdConfig):
     rows[0, 0] = config.A * math.sqrt(2.0 / math.pi)
     u, rows[1] = reaction(rows[0])
     abs_u = np.abs(u)
-    t = 0.0
-    times = [t]
     norms = [abs_u.max()]
     minima = [u.min()]
-    nfev = 1
-    rejected = retries = 0
-    saw_nonfinite = False
-    h_prev = err_prev = 0.0
+    c_new = u_new = abs_new = m_new = None  # the attempted step
 
-    def finish(kind, t_end, termination, state):
-        grid = np.asarray(times)
-        stats = ode.IvpStats.of_grid(grid, termination, rejected, nfev,
-                                     retries)
-        run = FdRun(config=config, kind=kind,
-                    estimate=t_end if kind == ode.BLOW_UP else math.inf,
-                    times=grid, max_norms=np.array(norms),
-                    min_value=float(min(minima)), stats=stats)
-        return run, state
+    def attempt(t, h):
+        nonlocal c_new, u_new, abs_new, m_new
+        factors = np.exp(np.multiply.outer(h * _GAP_NODES, lam))
+        terms = factors[_TERM_GAPS]
+        terms *= _TERM_LEAD + h * _TERM_WEIGHTS
+        for i, used in enumerate(_STAGES, start=1):
+            c_new = np.einsum("jm,jm->m", terms[used], rows[:i + 1])
+            u_new, rows[i + 1] = reaction(c_new)
+        abs_new = np.abs(u_new)
+        scaled = S @ np.einsum("jm,jm->m", terms[_ERROR_TERMS], rows[1:])
+        scaled /= atol + rtol * np.maximum(abs_u, abs_new)
+        # a non-finite stage spreads to every later one and to err, so a
+        # non-finite err stands for one
+        err = math.sqrt(float(ode._sum(scaled * scaled)) / M)
+        m_new = abs_new.max()
+        return 6, err if math.isfinite(err) else None, m_new
+
+    def commit(t):
+        nonlocal u, abs_u
+        u, abs_u = u_new, abs_new
+        norms.append(m_new)
+        minima.append(u.min())
+        rows[0] = c_new
+        rows[1] = rows[7]
+
+    def escape(t, t_new):
+        return 0, _escape_time(S, lam, threshold, (t, u, *rows[:2]),
+                               (t_new, u_new, c_new, rows[7]))
 
     with np.errstate(over="ignore", invalid="ignore"):
         # the reaction part sets the first step: the factor carries the
         # diffusion exactly
-        h = ode._initial_step(lambda t, y: y**p, t, u, u**p, rtol, atol,
+        h = ode._initial_step(lambda t, y: y**p, 0.0, u, u**p, rtol, atol,
                               horizon)
-        nfev += 1
-        for _ in range(ode._MAX_STEPS):
-            if t >= horizon:
-                return finish(ode.REACHED_HORIZON, horizon, ode.HORIZON, u)
-            last = t + h >= horizon
-            if last:
-                h = horizon - t
-            if h < min_step:
-                if saw_nonfinite and abs_u.max() <= 0.5 * threshold:
-                    return finish(ode.DOMAIN_EXIT, t, ode.NONFINITE, u)
-                return finish(ode.BLOW_UP, t, ode.MIN_STEP_COLLAPSE, u)
-
-            factors = np.exp(np.multiply.outer(h * _GAP_NODES, lam))
-            terms = factors[_TERM_GAPS]
-            terms *= _TERM_LEAD + h * _TERM_WEIGHTS
-            for i, used in enumerate(_STAGES, start=1):
-                c_new = np.einsum("jm,jm->m", terms[used], rows[:i + 1])
-                u_new, rows[i + 1] = reaction(c_new)
-            nfev += 6
-            abs_new = np.abs(u_new)
-            scaled = S @ np.einsum("jm,jm->m", terms[_ERROR_TERMS], rows[1:])
-            scaled /= atol + rtol * np.maximum(abs_u, abs_new)
-            # a non-finite stage spreads to every later one and to err
-            err = math.sqrt(float(ode._sum(scaled * scaled)) / M)
-            if not math.isfinite(err):
-                saw_nonfinite = True
-                retries += 1
-                h *= 0.25
-                continue
-            if err > 1.0:
-                rejected += 1
-                h = ode._next_step(h, err, h_prev, err_prev, _ORDER_EXP)
-                continue
-
-            t_new = horizon if last else t + h
-            m_new = abs_new.max()
-            times.append(t_new)
-            norms.append(m_new)
-            minima.append(u_new.min())
-            if m_new > threshold:
-                t_esc = _escape_time(S, lam, threshold, (t, u, *rows[:2]),
-                                     (t_new, u_new, c_new, rows[7]))
-                return finish(ode.BLOW_UP, t_esc, ode.THRESHOLD_ESCAPE, u_new)
-            t, u, abs_u = t_new, u_new, abs_new
-            rows[0] = c_new
-            rows[1] = rows[7]
-            saw_nonfinite = False
-            h_new = ode._next_step(h, err, h_prev, err_prev, _ORDER_EXP)
-            h_prev, err_prev, h = h, err, h_new
-    raise StepBudgetError(ode._MAX_STEPS)
+        kind, t_end, grid, stats = ode._drive(
+            attempt, commit, escape, None, 0.0, horizon, h, norms[0],
+            threshold, _ORDER_EXP)
+    run = FdRun(config=config, kind=kind,
+                estimate=t_end if kind == ode.BLOW_UP else math.inf,
+                times=grid, max_norms=np.array(norms),
+                min_value=float(min(minima)), stats=stats)
+    return run, u
 
 
 def fd_single_run(config: FdConfig) -> FdRun:

@@ -86,22 +86,6 @@ CRITICAL_TOL = 2e-4
 CRITICAL_BACKSTOP = 1e4
 
 
-@dataclass(frozen=True)
-class BasicBounds:
-    """Zero-approximation bounds depending only on ||f0|| = A / C_N."""
-
-    norm_f0: float
-    tn: float
-
-
-def basic_bounds(A: float, p: int = 2) -> BasicBounds:
-    if not A >= 0.0:
-        raise ValueError("A must be >= 0")
-    norm_f0 = A / C_N
-    return BasicBounds(norm_f0=norm_f0,
-                       tn=tn_closed(U, B, P, p, norm_f0))
-
-
 def _datum_column(modes: tuple[int, ...]) -> int:
     """Position of mode 1, which carries the datum A s_1."""
     if 1 not in modes:
@@ -328,7 +312,6 @@ def run_scenario(scenario: HeatScenario) -> ScenarioResult:
     outcome, t_end = _run_coupled(model, scenario)
     escaped = outcome.kind != ode.REACHED_HORIZON
     t_g = t_end if escaped else math.inf
-    bounds = basic_bounds(scenario.A, scenario.p)
     t_k = None
     eta = None
     if scenario.A > C_K:
@@ -342,7 +325,7 @@ def run_scenario(scenario: HeatScenario) -> ScenarioResult:
     return ScenarioResult(
         scenario=scenario,
         outcome_kind=ode.BLOW_UP if escaped else ode.REACHED_HORIZON,
-        t_n=bounds.tn,
+        t_n=tn_closed(U, B, P, scenario.p, scenario.A / C_N),
         t_g=t_g,
         t_k=t_k,
         eta=eta,

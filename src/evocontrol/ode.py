@@ -6,9 +6,10 @@ ODEs I, II.5-II.6): an 8th-order advancing solution, Hairer's combined
 5th/3rd-order error estimate, Gustafsson's predictive step-size control
 (Hairer & Wanner, Solving ODEs II, IV.8) and a 7th-order dense output.
 It integrates the package's non-stiff systems; the stiff finite-difference
-reference steps on its own Lawson engine in :mod:`evocontrol.fd`, which
-shares the controller :func:`_next_step`, the first-step guess
-:func:`_initial_step` and :func:`_bisect`.
+reference steps on the Lawson engine of :mod:`evocontrol.fd`. Both run
+through one stepping loop, :func:`_drive`, which owns the step control
+and the termination policy; an engine supplies only how it attempts a
+step, commits it and locates an escape.
 Every run is classified into one of four outcomes:
 
 * ``reached_horizon`` : the trajectory exists on the whole time window;
@@ -264,15 +265,16 @@ class IvpSpec:
 
 @dataclass(frozen=True)
 class IvpStats:
-    """Counters of one :func:`integrate` run.
+    """Counters of one run of :func:`_drive`, by either engine.
 
     ``accepted`` is the number of intervals of the stored grid, the
     escaping step of a threshold escape included. ``rejected`` counts
     attempts whose error norm exceeded 1, ``nonfinite_retries`` attempts
     dropped for a non-finite stage or error norm. ``rhs_calls`` includes
-    the initial evaluation, the first-step guess and the 14 dense-output
-    calls that locate a threshold escape. ``h_min``/``h_max`` are
-    the extreme spacings of the grid (nan when no step was accepted).
+    the initial evaluation, the first-step guess and the calls that
+    locate a threshold escape (14 on DOP853's dense output, 0 on the
+    FD's Hermite cubic). ``h_min``/``h_max`` are the extreme spacings of
+    the grid (nan when no step was accepted).
     ``termination`` is one of ``horizon``, ``threshold_escape``,
     ``min_step_collapse`` (both kind ``blow_up``), ``nonfinite`` (kind
     ``domain_exit``) and ``stopped`` (kind ``stopped``).
@@ -554,6 +556,72 @@ def _escape_time(rhs: Rhs, threshold: float, start, end) -> float:
                    lambda x: np.abs(_horner(y0, coeffs, x)).max() >= threshold)
 
 
+def _drive(attempt, commit, escape, stop, t0: float, horizon: float,
+           h: float, m: float, threshold: float, exponent: float):
+    """The stepping loop of both engines, from t0 with first step ``h``
+    and max-norm ``m`` to ``(kind, t_end, grid, stats)``. ``attempt(t,
+    h)`` returns its RHS calls, its error norm (None for a non-finite
+    stage) and the advanced max-norm; ``commit(t)`` accepts the attempt,
+    which ends at t; ``escape(t, t_new)``, called before the commit,
+    returns its RHS calls and the time max |y| reaches ``threshold`` on
+    the attempt; ``stop(t)``, unless None, ends the run after a commit.
+    ``exponent`` is 1/(advancing order), for :func:`_next_step`. The RHS
+    count starts at 2: the initial call and :func:`_initial_step`'s.
+    """
+    times = [t0]
+    t = t0
+    min_step = 1e-12 * (horizon - t0)
+    nfev = 2
+    rejected = retries = 0
+    saw_nonfinite = False
+    # the last accepted step and its error norm, for Gustafsson's factor
+    h_prev = err_prev = 0.0
+
+    def finish(kind: str, t_end: float, termination: str):
+        grid = np.asarray(times)
+        return kind, float(t_end), grid, IvpStats.of_grid(
+            grid, termination, rejected, nfev, retries)
+
+    for _ in range(_MAX_STEPS):
+        if t >= horizon:
+            return finish(REACHED_HORIZON, horizon, HORIZON)
+        clamped = t + h >= horizon
+        if clamped:
+            h = horizon - t
+        if h < min_step:
+            if saw_nonfinite and m <= 0.5 * threshold:
+                return finish(DOMAIN_EXIT, t, NONFINITE)
+            return finish(BLOW_UP, t, MIN_STEP_COLLAPSE)
+
+        calls, err, m_new = attempt(t, h)
+        nfev += calls
+        if err is None or not math.isfinite(err):
+            saw_nonfinite = saw_nonfinite or err is None
+            retries += 1
+            h *= 0.25
+            continue
+        if err > 1.0:
+            rejected += 1
+            h = _next_step(h, err, h_prev, err_prev, exponent)
+            continue
+
+        t_new = horizon if clamped else t + h
+        times.append(t_new)
+        if m_new > threshold:
+            calls, t_esc = escape(t, t_new)
+            nfev += calls
+            commit(t_new)
+            return finish(BLOW_UP, t_esc, THRESHOLD_ESCAPE)
+        commit(t_new)
+        t, m = t_new, m_new
+        if stop is not None and stop(t):
+            return finish(STOPPED, t, STOPPED)
+        saw_nonfinite = False
+        h_new = _next_step(h, err, h_prev, err_prev, exponent)
+        h_prev, err_prev, h = h, err, h_new
+    raise StepBudgetError(_MAX_STEPS)
+
+
 def integrate(spec: IvpSpec) -> IvpOutcome:
     """Integrate an initial value problem and classify the outcome.
 
@@ -573,93 +641,48 @@ def integrate(spec: IvpSpec) -> IvpOutcome:
     ``_MAX_STEPS`` step attempts without any of these.
     """
     rhs = spec.rhs
-    t = float(spec.t0)
+    t0 = float(spec.t0)
     y = spec.y0.astype(float)
-    f = np.array(rhs(t, y), dtype=float)
+    f = np.array(rhs(t0, y), dtype=float)
     if not np.all(np.isfinite(f)):
         raise ValueError("rhs is not finite at the initial point")
 
     abs_y = np.abs(y)
-    times = [t]
     states = [y]
     derivs = [f]
-
-    horizon = spec.horizon
-    stop = spec.stop
-    threshold = spec.blowup_threshold
-    min_step = spec.min_step
     rtol, atol = spec.rtol, spec.atol
+    threshold = spec.blowup_threshold
     stages = _stage_buffer(y.size)
-    nfev = 2
-    rejected = retries = 0
-    saw_nonfinite = False
-    # the last accepted step and its error norm, for Gustafsson's factor
-    h_prev = err_prev = 0.0
+    y_new = f_new = abs_new = None  # the attempted step
 
-    def _finish(kind: str, t_end: float, termination: str) -> IvpOutcome:
-        grid = np.asarray(times)
-        return IvpOutcome(
-            kind=kind,
-            t_end=float(t_end),
-            times=grid,
-            states=states,
-            derivs=derivs,
-            spec=spec,
-            stats=IvpStats.of_grid(grid, termination, rejected, nfev,
-                                   retries),
-        )
+    def attempt(t, h):
+        nonlocal y_new, f_new, abs_new
+        calls, y_new, f_new = _rk_step(rhs, t, y, f, h, stages)
+        if y_new is None:
+            return calls, None, None
+        abs_new = np.abs(y_new)
+        return (calls, _error_norm(stages, h, abs_y, abs_new, rtol, atol),
+                abs_new.max())
 
+    def commit(t):
+        nonlocal y, f, abs_y
+        # y_new is a fresh array; f_new may be a buffer the RHS reuses, so
+        # keep a private copy as the next step's FSAL stage
+        y, f, abs_y = y_new, f_new.copy(), abs_new
+        states.append(y)
+        derivs.append(f)
+
+    def escape(t, t_new):
+        nonlocal f_new
+        f_new = f_new.copy()  # before the dense output calls the RHS
+        return len(_DENSE_STAGES), _escape_time(
+            rhs, threshold, (t, y, f), (t_new, y_new, f_new))
+
+    stop = None if spec.stop is None else (lambda t: spec.stop(t, y))
     with np.errstate(over="ignore", invalid="ignore"):
-        h = _initial_step(rhs, t, y, f, rtol, atol, horizon - spec.t0)
-        for _ in range(_MAX_STEPS):
-            if t >= horizon:
-                return _finish(REACHED_HORIZON, horizon, HORIZON)
-            clamped = False
-            if t + h >= horizon:
-                h = horizon - t
-                clamped = True
-
-            if h < min_step:
-                if saw_nonfinite and abs_y.max() <= 0.5 * threshold:
-                    return _finish(DOMAIN_EXIT, t, NONFINITE)
-                return _finish(BLOW_UP, t, MIN_STEP_COLLAPSE)
-
-            calls, y_new, f_new = _rk_step(rhs, t, y, f, h, stages)
-            nfev += calls
-            if y_new is None:
-                saw_nonfinite = True
-                retries += 1
-                h *= 0.25
-                continue
-            abs_new = np.abs(y_new)
-            err = _error_norm(stages, h, abs_y, abs_new, rtol, atol)
-            if not math.isfinite(err):
-                retries += 1
-                h *= 0.25
-                continue
-
-            if err <= 1.0:
-                m_new = abs_new.max()
-                start = t, y, f
-                # y_new is a fresh array; f_new may be a buffer the RHS
-                # reuses, so keep a private copy as the next step's FSAL
-                # stage
-                t, y, f = horizon if clamped else t + h, y_new, f_new.copy()
-                abs_y = abs_new
-                times.append(t)
-                states.append(y)
-                derivs.append(f)
-                if m_new > threshold:
-                    nfev += len(_DENSE_STAGES)
-                    t_esc = _escape_time(rhs, threshold, start, (t, y, f))
-                    return _finish(BLOW_UP, t_esc, THRESHOLD_ESCAPE)
-                if stop is not None and stop(t, y):
-                    return _finish(STOPPED, t, STOPPED)
-                saw_nonfinite = False
-                h_new = _next_step(h, err, h_prev, err_prev, _ORDER_EXP)
-                h_prev, err_prev, h = h, err, h_new
-            else:
-                rejected += 1
-                h = _next_step(h, err, h_prev, err_prev, _ORDER_EXP)
-    raise StepBudgetError(_MAX_STEPS)
-
+        h = _initial_step(rhs, t0, y, f, rtol, atol, spec.horizon - t0)
+        kind, t_end, grid, stats = _drive(
+            attempt, commit, escape, stop, t0, spec.horizon, h,
+            abs_y.max(), threshold, _ORDER_EXP)
+    return IvpOutcome(kind=kind, t_end=t_end, times=grid, states=states,
+                      derivs=derivs, spec=spec, stats=stats)

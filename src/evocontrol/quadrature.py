@@ -144,12 +144,6 @@ def sine_derivs(k: int, x: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 / np.pi) * k * np.cos(k * x)
 
 
-def h1_inner(fv: np.ndarray, fd: np.ndarray, gv: np.ndarray, gd: np.ndarray,
-             w: np.ndarray) -> float:
-    """Inner product int (f g + f' g') on (0, pi) from sampled values."""
-    return float(np.dot(w, fv * gv + fd * gd))
-
-
 def prefix_weights(n_points: int, h: float) -> np.ndarray:
     """Fourth-order prefix quadrature weights on a uniform grid.
 

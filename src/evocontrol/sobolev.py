@@ -191,32 +191,6 @@ def _product_norms(F: np.ndarray, G: np.ndarray,
     return np.sqrt(np.sum(w * (prod * prod + dprod * dprod), axis=-1))
 
 
-def _coeff_row(coeffs: dict[int, float], n_modes: int) -> np.ndarray:
-    """A {mode: coeff} mapping as a (1, n_modes) coefficient row."""
-    row = np.zeros((1, n_modes))
-    for k, c in coeffs.items():
-        if k < 1:
-            raise ValueError("sine modes start at 1")
-        row[0, k - 1] = c
-    return row
-
-
-def product_norm(f_coeffs: dict[int, float], g_coeffs: dict[int, float]) -> float:
-    """H1 norm of the pointwise product of two sine polynomials, by
-    quadrature exact for the product's trigonometric degree."""
-    deg_f = max(f_coeffs, default=0)
-    deg_g = max(g_coeffs, default=0)
-    n_modes = max(deg_f, deg_g)
-    F, G = _coeff_row(f_coeffs, n_modes), _coeff_row(g_coeffs, n_modes)
-    return float(_product_norms(F, G, 2 * (deg_f + deg_g))[0])
-
-
-def metric_norm(coeffs: dict[int, float]) -> float:
-    """H1 norm straight from sine coefficients: sqrt(sum (1+k^2) a_k^2)."""
-    C = _coeff_row(coeffs, max(coeffs, default=0))
-    return float(_metric_norms(C)[0])
-
-
 def algebra_property_test(seed: int = 0,
                           trials: int = 10_000) -> AlgebraReport:
     """Random sine polynomials, checking ||fg|| <= ||f|| ||g|| every time,
@@ -225,8 +199,8 @@ def algebra_property_test(seed: int = 0,
     Each trial draws the coefficients of f, then those of g, uniform on
     [-1, 1] for modes 1.._MAX_DEGREE. The trials run as one array
     computation over blocks of at most ``_BLOCK`` trials, so memory does
-    not grow with ``trials``; every ratio has the same bits as
-    ``product_norm / (metric_norm * metric_norm)`` on the same pair.
+    not grow with ``trials``; every ratio has the same bits as a
+    one-pair evaluation of the same kernels.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

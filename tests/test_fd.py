@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from evocontrol import control, fd, heat, ode
-from evocontrol.errors import GridDisagreementError
+from evocontrol.errors import GridDisagreementError, StepBudgetError
 from test_ode import mol_spec, semidiscrete_rhs
 
 
@@ -219,3 +219,43 @@ def test_no_fd_run_calls_the_dop853_engine(monkeypatch):
     monkeypatch.setattr(ode, "integrate", refuse)
     assert fd.fd_blowup_time(fd.FdConfig(A=20.0, N=64)).coarse.blew_up
     assert fd.limit_profile_check(100.0, 0.6, N=64) <= 0.05
+
+
+def test_grid_pair_must_agree(monkeypatch):
+    # the coarse run blows up at 1.0; the fine one reaches the horizon,
+    # or blows up 2.06% later, past the 2% gate, or 1.96% later, within
+    fine = {}
+
+    def single_run(config):
+        kind, estimate = (ode.BLOW_UP, 1.0) if config.N == 64 else fine["run"]
+        return fd.FdRun(config=config, kind=kind, estimate=estimate,
+                        times=np.zeros(1), max_norms=np.zeros(1),
+                        min_value=0.0, stats=None)
+
+    monkeypatch.setattr(fd, "fd_single_run", single_run)
+    config = fd.FdConfig(A=4.0, N=64)
+    for run, match in (((ode.REACHED_HORIZON, math.inf), "changed the outcome"),
+                       ((ode.BLOW_UP, 1.021), "disagree by 2.06%")):
+        fine["run"] = run
+        with pytest.raises(GridDisagreementError, match=match):
+            fd.fd_blowup_time(config)
+    fine["run"] = ode.BLOW_UP, 1.02
+    assert fd.fd_blowup_time(config).fine.estimate == 1.02
+
+
+def test_one_step_budget_governs_both_engines(monkeypatch):
+    monkeypatch.setattr(ode, "_MAX_STEPS", 5)
+    with pytest.raises(StepBudgetError) as info:
+        fd.fd_single_run(fd.FdConfig(A=20.0, N=64))
+    assert info.value.steps == 5
+
+
+def test_cubic_run_ends_on_a_min_step_collapse():
+    # at p = 3 the step falls below 1e-12 x horizon while max |u| is near
+    # 1.1e5, short of the 1e6 threshold, so the estimate is the collapse
+    # time, the last grid time, and not a threshold escape
+    run = fd.fd_single_run(fd.FdConfig(A=20.0, p=3, N=64))
+    assert run.blew_up
+    assert run.stats.termination == ode.MIN_STEP_COLLAPSE
+    assert run.estimate == run.times[-1]
+    assert run.max_norms[-1] < run.config.blowup_threshold

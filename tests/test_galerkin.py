@@ -17,6 +17,7 @@ from evocontrol import control
 from evocontrol import galerkin as gk
 from evocontrol import heat, picard
 from evocontrol import quadrature as qd
+from test_quadrature import h1_inner
 
 _SQ = math.sqrt(2.0 / math.pi**3)
 _PI = math.pi
@@ -49,7 +50,7 @@ def test_metric_identity_through_mode_twelve():
     x, w = qd.nodes(24)
     for k in range(1, 13):
         for l in range(1, 13):
-            val = qd.h1_inner(
+            val = h1_inner(
                 qd.sine_values(k, x), qd.sine_derivs(k, x),
                 qd.sine_values(l, x), qd.sine_derivs(l, x), w,
             )
@@ -176,7 +177,7 @@ def eigen_invariance_defect(indices, p: int) -> tuple[float, float]:
     quad_block = 0.0
     for rv, rd in lin_res:
         for sv, sd in lin_res:
-            quad_block = max(quad_block, abs(qd.h1_inner(rv, rd, sv, sd, w)))
+            quad_block = max(quad_block, abs(h1_inner(rv, rd, sv, sd, w)))
 
     cross_block = 0.0
     monomials = list(itertools.combinations_with_replacement(idx, p))
@@ -185,7 +186,7 @@ def eigen_invariance_defect(indices, p: int) -> tuple[float, float]:
         rv, rd = project_out(pv, pd)
         for lv, ld in lin_res:
             cross_block = max(cross_block,
-                              abs(qd.h1_inner(lv, ld, rv, rd, w)))
+                              abs(h1_inner(lv, ld, rv, rd, w)))
     return quad_block, cross_block
 
 
@@ -250,7 +251,7 @@ def _ordered_tuple_reference(indices, p, a):
     k = np.asarray(indices, dtype=float)
     field = -k * k * a + c
     rv, rd = f - c @ S, df - c @ D
-    return field, qd.h1_inner(rv, rd, rv, rd, w)
+    return field, h1_inner(rv, rd, rv, rd, w)
 
 
 def test_cubic_kernel_matches_ordered_tuple_sums():

@@ -15,11 +15,12 @@ from evocontrol.errors import BracketError, EvocontrolError
 def test_datum_norm_and_basic_bounds():
     # the datum A s_1 has ambient norm A sqrt(2), i.e. A / C_N
     assert abs(heat.C_N - math.sqrt(2.0) / 2.0) <= 1e-15
-    bb = heat.basic_bounds(2.0)
-    assert abs(bb.norm_f0 - 2.0 / heat.C_N) <= 1e-14
-    assert bb.tn == control.tn_closed(1.0, 1.0, 1.0, 2, 2.0 / heat.C_N)
+    assert abs(2.0 / heat.C_N - 2.0 * math.sqrt(2.0)) <= 1e-14
+    # t_N is the closed-form guarantee of that norm
+    result = heat.run_scenario(heat.HeatScenario(A=2.0))
+    assert result.t_n == control.tn_closed(1.0, 1.0, 1.0, 2, 2.0 / heat.C_N)
     # below the critical datum size the guarantee is global
-    assert heat.basic_bounds(0.5).tn == math.inf
+    assert heat.run_scenario(heat.HeatScenario(A=0.5)).t_n == math.inf
 
 
 def test_scenario_blowup_and_sandwich():
