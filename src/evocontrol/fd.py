@@ -23,9 +23,14 @@ stage i carries the factors e^{(c_i - c_j) h Lambda}, all taken by one
 c_i >= c_j and stays <= 1; DOP853's are not, and its Lawson form would
 multiply stiff modes by factors up to e^{0.083 h |Lambda|}. The step
 size is therefore set by accuracy alone, not by the stencil's stability
-limit: the fine A=10 run takes about 500 steps where explicit DOP853
-took 2,366. The error is measured on the grid, as RMS of the embedded
-4th-order difference scaled by atol + rtol |u|. The run steps through
+limit. The error is the RMS over the half grid of the embedded 4th-order
+difference, divided by one scale atol + rtol max(|u_n|_inf,
+|u_{n+1}|_inf): the max-norm is what the estimate reads, and a
+pointwise scale would chase the walls, where u -> 0 but (u^2)'' = 2 u'^2
+does not vanish, so the Lawson scheme loses order on a boundary layer
+that narrows with h. With the one scale a run takes the same number of
+steps on every grid: 159, 160, 159 and 158 at A = 10 on N = 64 to 512,
+where explicit DOP853 takes 2,366 at N = 512. The run steps through
 ``ode``'s stepping loop, as DOP853 does, which owns the step control and
 the termination policy; this module supplies the attempt, the commit of
 an accepted step and the escape locator. A threshold escape is located
@@ -33,7 +38,7 @@ by bisection on the cubic Hermite interpolant of u and
 u' = S (Lambda u^ + N^) at the ends of the escaping step; DP5's
 continuous extension is not used, because in Lawson form its factors
 e^{(theta - c_j) h Lambda} grow wherever c_j > theta. At p = 2 the
-estimates agree with explicit DOP853 on the full grid to 1e-9 relative
+estimates agree with explicit DOP853 on the full grid to 2.5e-9 relative
 (A = 2 to 100, N = 256 and 512).
 
 Each estimate is produced twice, on N and 2N interior points, and the
@@ -221,31 +226,30 @@ def _march(config: FdConfig):
     rows = np.zeros((8, M))
     rows[0, 0] = config.A * math.sqrt(2.0 / math.pi)
     u, rows[1] = reaction(rows[0])
-    abs_u = np.abs(u)
-    norms = [abs_u.max()]
+    norms = [np.abs(u).max()]
     minima = [u.min()]
-    c_new = u_new = abs_new = m_new = None  # the attempted step
+    c_new = u_new = m_new = None  # the attempted step
 
     def attempt(t, h):
-        nonlocal c_new, u_new, abs_new, m_new
+        nonlocal c_new, u_new, m_new
         factors = np.exp(np.multiply.outer(h * _GAP_NODES, lam))
         terms = factors[_TERM_GAPS]
         terms *= _TERM_LEAD + h * _TERM_WEIGHTS
         for i, used in enumerate(_STAGES, start=1):
             c_new = np.einsum("jm,jm->m", terms[used], rows[:i + 1])
             u_new, rows[i + 1] = reaction(c_new)
-        abs_new = np.abs(u_new)
-        scaled = S @ np.einsum("jm,jm->m", terms[_ERROR_TERMS], rows[1:])
-        scaled /= atol + rtol * np.maximum(abs_u, abs_new)
+        m_new = np.abs(u_new).max()
+        diff = S @ np.einsum("jm,jm->m", terms[_ERROR_TERMS], rows[1:])
+        # one scale for every point, set by the max-norm the run reports
+        scale = atol + rtol * max(norms[-1], m_new)
         # a non-finite stage spreads to every later one and to err, so a
         # non-finite err stands for one
-        err = math.sqrt(float(ode._sum(scaled * scaled)) / M)
-        m_new = abs_new.max()
+        err = math.sqrt(float(ode._sum(diff * diff)) / M) / scale
         return 6, err if math.isfinite(err) else None, m_new
 
     def commit(t):
-        nonlocal u, abs_u
-        u, abs_u = u_new, abs_new
+        nonlocal u
+        u = u_new
         norms.append(m_new)
         minima.append(u.min())
         rows[0] = c_new

@@ -221,9 +221,6 @@ class IvpSpec:
     derivative of shape (n,); the dense output also calls it on states
     as the columns of an (n, S) array, with t of shape (S,), and takes
     column j of the (n, S) result as the derivative of column j.
-    ``min_step`` is 1e-12 times the window length, derived from ``t0``
-    and ``horizon`` so that a copy with another window gets its own; an
-    accepted step below it is treated as a finite-time singularity.
     ``stop(t, y)``, when given, is asked after each accepted step that
     did not escape, with the step's end time and state; when it returns
     true, the run ends there as ``stopped``.
@@ -245,7 +242,7 @@ class IvpSpec:
                              f"{self.y0.shape}")
         if not (math.isfinite(self.t0) and math.isfinite(self.horizon)):
             raise ValueError("t0 and horizon must be finite")
-        if not self.min_step > 0.0:
+        if not self.horizon > self.t0:
             raise ValueError("horizon must exceed t0")
         if not (0.0 < self.rtol < 1.0 and 0.0 < self.atol < 1.0):
             raise ValueError("rtol and atol must lie in (0, 1)")
@@ -253,10 +250,6 @@ class IvpSpec:
             raise ValueError("y0 must be finite")
         if not self.blowup_threshold > float(np.max(np.abs(self.y0))):
             raise ValueError("blowup_threshold must exceed the initial max-norm")
-
-    @property
-    def min_step(self) -> float:
-        return 1e-12 * (self.horizon - self.t0)
 
     @property
     def dimension(self) -> int:

@@ -50,9 +50,10 @@ RUNS = {
     # steps, where t_K is the smallest
     "kaplan_p4": ["kaplan", "--p", "4", "--A", "4", "--A", "10"],
     "fd": ["fd", "--A", "100", "--profile-time", "0.5"],
-    # a norms CSV from a long fine run (1,123 steps on 512 points)
+    # a norms CSV from the fine run on 512 points (138 steps)
     "fd_A20": ["fd", "--A", "20"],
-    # a threshold escape at p != 2
+    # a run at p != 2, which ends on a min-step collapse short of the
+    # threshold
     "fd_p3": ["fd", "--p", "3", "--A", "20"],
     "picard": ["picard", "--A", "1", "--horizon", "2"],
     "wave": ["wave"],
